@@ -17,6 +17,10 @@
 # pre-crash run. Finally a SIGTERM to shard 0 must produce a graceful drain
 # (DRAIN=clean in its log).
 #
+# Every process that shuts down gracefully must also print LEDGER=ok: its
+# message ledger's conservation and loss-attribution identities held at
+# shutdown (src/net/ledger.hpp).
+#
 # With --split the script instead runs the split-overlay deployment: PROCS
 # `peerd peer` processes sharing ONE overlay (each owns a slice of its
 # peers, every cross-slice protocol step crosses a real process boundary),
@@ -75,6 +79,15 @@ wait_port() { # shard-index log-file pid -> sets PORT
   PORT=$port
 }
 
+# Asserts a drained process printed LEDGER=ok.
+check_ledger() { # label log-file
+  if ! grep -q '^LEDGER=ok$' "$2"; then
+    echo "$1: message ledger identities do not hold:" >&2
+    cat "$2" >&2
+    exit 1
+  fi
+}
+
 if [[ "$SPLIT" == 1 ]]; then
   # --- split-overlay mode: PROCS processes, ONE overlay --------------------
   MESH="$WORKDIR/mesh"
@@ -105,8 +118,9 @@ if [[ "$SPLIT" == 1 ]]; then
       cat "$WORKDIR/rank$i.log" >&2
       exit 1
     fi
+    check_ledger "rank $i" "$WORKDIR/rank$i.log"
   done
-  echo "  all ranks drained cleanly"
+  echo "  all ranks drained cleanly, ledgers balanced"
   echo "== split demo ok =="
   exit 0
 fi
@@ -180,5 +194,15 @@ if [[ "$RESTART" == 1 ]]; then
   fi
   echo "  shard 0 drained cleanly"
 fi
+
+echo "== graceful stop (SIGTERM) of all shards =="
+for pid in "${PIDS[@]}"; do kill -TERM "$pid" 2>/dev/null || true; done
+for pid in "${PIDS[@]}"; do wait "$pid" 2>/dev/null || true; done
+for ((i = 0; i < SHARDS; i++)); do
+  log="$WORKDIR/shard$i.log"
+  [[ "$RESTART" == 1 && "$i" == 0 ]] && log="$WORKDIR/shard0.restart.log"
+  check_ledger "shard $i" "$log"
+done
+echo "  every shard's ledger balanced"
 
 echo "== demo ok =="

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/hash.hpp"
+#include "net/ledger.hpp"
 
 namespace hkws::dht {
 
@@ -405,8 +406,7 @@ ChordNetwork::RouteResult ChordNetwork::lookup_now(RingId start, RingId key,
     }
     at = hop->next;
     ++hops;
-    net_.metrics().count("net.messages");
-    net_.metrics().count("msg." + kind);
+    net::ledger::charged(net_.metrics(), kind);
     if (hop->final) return RouteResult{at, hops};
   }
 }

@@ -66,8 +66,8 @@ class Overlay {
   virtual void route(sim::EndpointId from, RingId key, std::string kind,
                      std::size_t payload_bytes, RouteCallback on_owner) = 0;
 
-  /// Synchronous walk of the hop sequence route() would take; charges
-  /// per-hop messages to metrics under `kind`.
+  /// Synchronous walk of the hop sequence route() would take; records
+  /// each hop as a ledger charge under `kind` (net/ledger.hpp).
   virtual RouteResult lookup_now(RingId start, RingId key,
                                  const std::string& kind) = 0;
 

@@ -5,6 +5,7 @@
 
 #include "common/bitops.hpp"
 #include "common/hash.hpp"
+#include "net/ledger.hpp"
 
 namespace hkws::dht {
 
@@ -411,8 +412,7 @@ Overlay::RouteResult PastryNetwork::lookup_now(RingId start, RingId key,
     }
     at = *hop;
     ++hops;
-    net_.metrics().count("net.messages");
-    net_.metrics().count("msg." + kind);
+    net::ledger::charged(net_.metrics(), kind);
   }
 }
 

@@ -12,6 +12,9 @@ namespace {
 constexpr std::size_t kUnlimited = std::numeric_limits<std::size_t>::max();
 constexpr std::size_t kHitBytes = 48;   // rough wire size of one result hit
 constexpr std::size_t kCtrlBytes = 64;  // rough wire size of a control msg
+// Per-cache floor when rebalance_caches() redistributes query-cache
+// capacity by popularity.
+constexpr std::size_t kMinCacheRecords = 2;
 
 std::uint64_t total_count(const CachedTraversal& c) {
   std::uint64_t total = 0;
@@ -655,19 +658,17 @@ void OverlayIndex::send_to_cube_node(
     std::size_t bytes, const Charge& charge,
     std::function<void(sim::EndpointId)> at_target,
     const std::function<void()>& on_failover) {
-  if (cfg_.cache_contacts) {
-    PeerState& ps = peer_state(from);
-    if (const auto it = ps.contacts.find(target); it != ps.contacts.end()) {
-      if (net_.is_registered(it->second)) {
-        const sim::EndpointId to = it->second;
-        charge(1);
-        net_.send(from, to, kind, bytes,
-                  [to, at_target = std::move(at_target)] { at_target(to); });
-        return;
-      }
-      ps.contacts.erase(it);  // stale contact: the peer is gone
-      if (on_failover) on_failover();
+  PeerState& ps = peer_state(from);
+  if (const auto it = ps.contacts.find(target); it != ps.contacts.end()) {
+    if (net_.is_registered(it->second)) {
+      const sim::EndpointId to = it->second;
+      charge(1);
+      net_.send(from, to, kind, bytes,
+                [to, at_target = std::move(at_target)] { at_target(to); });
+      return;
     }
+    ps.contacts.erase(it);  // stale contact: the peer is gone
+    if (on_failover) on_failover();
   }
   overlay_.route(from, ring_key_of(target), kind, bytes,
                  [this, charge, at_target = std::move(at_target)](
@@ -725,7 +726,7 @@ void OverlayIndex::start_level(std::uint64_t req_id) {
   emit(req_id, "level", req->level - 1, nodes.size());
   for (const cube::CubeId w : nodes) req->visit_order.push_back(w);
 
-  if (cfg_.coalesce_visits && cfg_.cache_contacts) {
+  if (cfg_.coalesce_visits) {
     // Group this round's nodes by live cached contact; two or more nodes
     // co-hosted at one peer travel as a single VisitBatch wire message.
     // Nodes without a usable contact (cold cache, dead peer) go through
@@ -873,8 +874,7 @@ void OverlayIndex::on_node_answered(std::uint64_t req_id, cube::CubeId w,
   // instead is not enough, because a holder demoted while its reply was in
   // flight would pass that check and poison the contact cache with a peer
   // that can no longer serve the node.
-  if (cfg_.cache_contacts && peer == peer_of(w))
-    peer_state(req->root_peer).contacts[w] = peer;
+  if (peer == peer_of(w)) peer_state(req->root_peer).contacts[w] = peer;
 
   switch (req->mode) {
     case Mode::kTopDown: {
@@ -1209,8 +1209,7 @@ void OverlayIndex::cumulative_visit(std::uint64_t session, cube::CubeId w,
                              total] {
       CumulativeState* s2 = find_session(session);
       if (!s2) return;
-      if (cfg_.cache_contacts && w != s2->root_cube)
-        peer_state(s2->root_peer).contacts[w] = peer;
+      if (w != s2->root_cube) peer_state(s2->root_peer).contacts[w] = peer;
       s2->got += taken;
       if (offset + taken < total) {
         s2->offset = offset + taken;  // node not fully consumed: stay on it
@@ -1704,7 +1703,7 @@ std::size_t OverlayIndex::replication_backlog() const {
 }
 
 void OverlayIndex::rebalance_caches() {
-  if (!cfg_.hot.size_caches || cfg_.cache_capacity == 0) return;
+  if (cfg_.cache_capacity == 0) return;
   const sim::Time now = net_.now();
   struct Slot {
     QueryCache* cache;
@@ -1729,7 +1728,7 @@ void OverlayIndex::rebalance_caches() {
   // the remainder is split in proportion to windowed scan counts (floor
   // rounding, so the sum never exceeds the budget).
   const std::size_t floor_each =
-      std::min(cfg_.hot.min_cache_records, cfg_.cache_capacity);
+      std::min(kMinCacheRecords, cfg_.cache_capacity);
   const std::size_t budget = cfg_.cache_capacity * slots.size();
   const std::size_t spare = budget - floor_each * slots.size();
   for (const Slot& s : slots) {

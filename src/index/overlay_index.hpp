@@ -75,10 +75,9 @@ class OverlayIndex {
     /// different peers than the primary's.
     std::uint64_t ring_salt = seeds::kCubeToDht;
     std::size_t cache_capacity = 0;  ///< per-node query-cache records; 0 = off
-    bool cache_contacts = true;      ///< learn cube-node -> peer contacts
     /// Merge a level-parallel round's visits to co-hosted cube nodes (same
     /// cached live contact) into one VisitBatch wire message per peer.
-    /// Needs cache_contacts; only cuts messages once contacts are warm.
+    /// Only cuts messages once contacts are warm.
     /// Results are byte-identical either way (see protocol notes above).
     bool coalesce_visits = true;
     /// Superset-search retransmission timeout in ticks; 0 disables loss
@@ -130,11 +129,6 @@ class OverlayIndex {
       /// Most-scanned cells replicated per replication_step (cap on the
       /// replicated set, not per-call work — the budget handles that).
       std::size_t max_hot = 8;
-      /// Re-target per-cell query-cache capacities in proportion to the
-      /// popularity window (total records budget held constant).
-      bool size_caches = true;
-      /// Per-cache floor when size_caches redistributes capacity.
-      std::size_t min_cache_records = 2;
     };
     HotCellConfig hot = {};
   };

@@ -84,12 +84,6 @@ void MaintenancePlane::replication_tick() {
   arm_replication_ticker();
 }
 
-void MaintenancePlane::stabilize_once() {
-  const std::uint64_t before = net_.metrics().counter("net.messages");
-  stabilize_();
-  synthetic_ += net_.metrics().counter("net.messages") - before;
-}
-
 void MaintenancePlane::tick() {
   repair_timer_ = 0;
   // Routing heal first: a few stabilization rounds per slice, so the
@@ -97,7 +91,7 @@ void MaintenancePlane::tick() {
   // still draining.
   for (int i = 0; i < cfg_.stabilize_rounds_per_tick && pending_stabilize_ > 0;
        ++i, --pending_stabilize_)
-    stabilize_once();
+    stabilize_();
   std::uint64_t work = 0;
   if (repair_step_) work = repair_step_(cfg_.entries_per_tick,
                                         cfg_.refs_per_tick);

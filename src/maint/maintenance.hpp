@@ -16,13 +16,11 @@
 // degrade via the index's failover path, and recover completeness once
 // converged() reports the plane has drained its backlog.
 //
-// Accounting: Chord/Pastry stabilization charges lookup hops to
-// "net.messages" synchronously, without a matching wire delivery. The
-// plane measures the "net.messages" counter delta across each (purely
-// synchronous) stabilize call and reports the sum as
-// synthetic_messages(), which the torture harness adds to its message
-// conservation identity. All other plane traffic — pings, acks, replica
-// pushes, mirror resync reindexes — consists of real conserved sends.
+// Accounting: Chord/Pastry stabilization pays for its lookup hops as
+// ledger charges (net/ledger.hpp; the fate table is in
+// docs/ROBUSTNESS.md), so they close the conservation identity on their
+// own. All other plane traffic — pings, acks, replica pushes, mirror
+// resync reindexes — consists of ordinary wire sends.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +56,6 @@ class MaintenancePlane {
   };
 
   /// One overlay stabilization round (e.g. ChordNetwork::stabilize_all).
-  /// Must be synchronous: the plane measures its "net.messages" charge as
-  /// a counter delta around the call.
   using StabilizeFn = std::function<void()>;
   /// One budgeted repair slice: (entry_budget, ref_budget) -> work done
   /// (e.g. KeywordSearchService::repair_step).
@@ -99,11 +95,6 @@ class MaintenancePlane {
   /// injected failure has been detected and fully repaired.
   bool converged() const;
 
-  /// Lookup-hop charges incurred inside stabilize calls: counted into
-  /// "net.messages" without a wire delivery, so conservation checks must
-  /// add this term.
-  std::uint64_t synthetic_messages() const noexcept { return synthetic_; }
-
   /// Total units of repair work (entries moved + copies pushed) so far.
   std::uint64_t repair_work_done() const noexcept { return work_done_; }
 
@@ -128,9 +119,6 @@ class MaintenancePlane {
   void arm_ticker();
   void replication_tick();
   void arm_replication_ticker();
-  /// Runs one stabilize round, charging its synchronous lookup hops to
-  /// synthetic_.
-  void stabilize_once();
 
   net::Transport& net_;
   Config cfg_;
@@ -148,7 +136,6 @@ class MaintenancePlane {
   int idle_ticks_ = 0;
   /// Idle slices (no work, empty backlog) before the ticker disarms.
   static constexpr int kIdleTicksToDisarm = 2;
-  std::uint64_t synthetic_ = 0;
   std::uint64_t work_done_ = 0;
   bool burst_open_ = false;  ///< a "repair.burst" tracer span is open
 };

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "net/ledger.hpp"
+
 namespace hkws::net {
 
 FaultTransport::FaultTransport(Transport& inner,
@@ -12,11 +14,6 @@ FaultTransport::FaultTransport(Transport& inner,
 void FaultTransport::arm() {
   std::lock_guard<std::mutex> lk(mu_);
   armed_ = true;
-}
-
-bool FaultTransport::armed() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return armed_;
 }
 
 void FaultTransport::set_fault_model(std::unique_ptr<sim::FaultModel> model) {
@@ -44,74 +41,19 @@ bool FaultTransport::is_registered(EndpointId id) const {
 void FaultTransport::send(EndpointId from, EndpointId to, std::string kind,
                           std::size_t payload_bytes, Handler deliver) {
   // Local and unregistered-destination sends are not wire messages: pass
-  // them straight down (the inner transport counts net.local /
-  // net.dropped.unregistered) without numbering or inspection — mirroring
-  // the simulator, which numbers only real wire traffic.
+  // them straight down (the inner transport records their fate) without
+  // numbering or inspection — mirroring the simulator, which numbers only
+  // real wire traffic.
   if (from == to || !inner_.is_registered(to)) {
     inner_.send(from, to, std::move(kind), payload_bytes, std::move(deliver));
     return;
   }
-
-  sim::FaultActions fault;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (armed_) {
-      if (model_ != nullptr)
-        fault = model_->inspect(from, to, kind, seq_, rng_);
-      ++seq_;
-    }
-  }
-
-  if (fault.drop) {
-    // The inner transport never sees a dropped message, so the decorator
-    // supplies the simulator's accounting itself: the message counts as
-    // sent (the protocol paid for it) and as lost, attributed to fault
-    // injection. The observer sees lost = true so traces and the torture
-    // conservation identity stay truthful.
-    sim::Metrics& m = inner_.metrics();
-    m.count("net.messages");
-    m.count("net.bytes", payload_bytes);
-    m.count("msg." + kind);
-    m.count("net.lost");
-    m.count("net.lost." + kind);
-    m.count("net.dropped.fault");
-    SendObserver observer;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      observer = observer_;
-    }
-    if (observer) {
-      const Time at = inner_.now();
-      observer(kind, SendRecord{at, from, to, payload_bytes, true, at});
-    }
-    return;
-  }
-
-  const std::uint32_t copies = 1 + fault.duplicates;
-  if (fault.duplicates != 0)
-    inner_.metrics().count("net.dup", fault.duplicates);
-
-  if (fault.extra_delay != 0) {
-    inner_.metrics().count("net.delayed");
-    // Defer through the inner transport's own scheduler so the delay is
-    // tracked by its idle/drain accounting (the TCP dispatch strand's
-    // pending-event count; the sim event queue).
-    Transport* inner = &inner_;
-    inner_.schedule_in(
-        fault.extra_delay,
-        [inner, from, to, kind = std::move(kind), payload_bytes,
-         deliver = std::move(deliver), copies]() mutable {
-          for (std::uint32_t i = 0; i + 1 < copies; ++i)
-            inner->send(from, to, kind, payload_bytes, deliver);
-          inner->send(from, to, std::move(kind), payload_bytes,
-                      std::move(deliver));
-        });
-    return;
-  }
-
-  for (std::uint32_t i = 0; i + 1 < copies; ++i)
-    inner_.send(from, to, kind, payload_bytes, deliver);
-  inner_.send(from, to, std::move(kind), payload_bytes, std::move(deliver));
+  Transport* inner = &inner_;
+  apply_faults(from, to, kind, payload_bytes,
+               [inner, from, to, kind, payload_bytes,
+                deliver = std::move(deliver)] {
+                 inner->send(from, to, kind, payload_bytes, deliver);
+               });
 }
 
 bool FaultTransport::set_peer_address(EndpointId id, const PeerAddr& addr) {
@@ -128,68 +70,71 @@ void FaultTransport::set_payload_handler(PayloadHandler fn) {
 
 void FaultTransport::send_payload(EndpointId from, EndpointId to,
                                   MsgKind kind, const WireMessage& msg) {
-  // Same pass-through rule as send(): only real wire traffic is numbered
-  // and inspected. A payload send is wire traffic when its destination is
-  // deliverable — locally registered or owned by another process.
+  // Same pass-through rule as send(). A payload send is wire traffic when
+  // its destination is deliverable — locally registered or owned by
+  // another process.
   if (from == to ||
       (!inner_.is_registered(to) && !inner_.has_peer_address(to))) {
     inner_.send_payload(from, to, kind, msg);
     return;
   }
+  // The byte cost is the encoded inner frame: what the wire carries.
+  Transport* inner = &inner_;
+  apply_faults(from, to, kind_name(kind), encode_frame(kind, msg).size(),
+               [inner, from, to, kind, msg] {
+                 inner->send_payload(from, to, kind, msg);
+               });
+}
 
-  const std::string kind_label = kind_name(kind);
+void FaultTransport::apply_faults(EndpointId from, EndpointId to,
+                                  const std::string& kind, std::size_t bytes,
+                                  Handler forward) {
   sim::FaultActions fault;
+  SendObserver observer;
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (armed_) {
       if (model_ != nullptr)
-        fault = model_->inspect(from, to, kind_label, seq_, rng_);
+        fault = model_->inspect(from, to, kind, seq_, rng_);
       ++seq_;
     }
+    if (fault.drop) observer = observer_;
   }
-
   if (fault.drop) {
-    // The inner transport never sees the message; supply the accounting
-    // here, with the encoded inner frame as the byte cost (what the wire
-    // would have carried).
-    const std::size_t bytes = encode_frame(kind, msg).size();
-    sim::Metrics& m = inner_.metrics();
-    m.count("net.messages");
-    m.count("net.bytes", bytes);
-    m.count("msg." + kind_label);
-    m.count("net.lost");
-    m.count("net.lost." + kind_label);
-    m.count("net.dropped." + kind_label);
-    m.count("net.dropped.fault");
-    SendObserver observer;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      observer = observer_;
-    }
+    // The inner transport never sees a dropped message, so the decorator
+    // records its whole fate: sent (the protocol paid for it) and lost to
+    // fault injection. The observer sees lost = true so traces stay
+    // truthful.
+    inner_.record([&](sim::Metrics& m) {
+      ledger::sent(m, kind, bytes);
+      ledger::lost(m, kind, ledger::Cause::kFault);
+    });
     if (observer) {
       const Time at = inner_.now();
-      observer(kind_label, SendRecord{at, from, to, bytes, true, at});
+      observer(kind, SendRecord{at, from, to, bytes, true, at});
     }
     return;
   }
 
+  // Each copy is a full inner send, which records its own fate.
   const std::uint32_t copies = 1 + fault.duplicates;
-  if (fault.duplicates != 0)
-    inner_.metrics().count("net.dup", fault.duplicates);
-
+  if (fault.duplicates != 0 || fault.extra_delay != 0) {
+    inner_.record([&](sim::Metrics& m) {
+      if (fault.duplicates != 0) ledger::dup(m, fault.duplicates);
+      if (fault.extra_delay != 0) ledger::delayed(m);
+    });
+  }
+  auto send_copies = [forward = std::move(forward), copies] {
+    for (std::uint32_t i = 0; i < copies; ++i) forward();
+  };
   if (fault.extra_delay != 0) {
-    inner_.metrics().count("net.delayed");
-    Transport* inner = &inner_;
-    inner_.schedule_in(fault.extra_delay,
-                       [inner, from, to, kind, msg, copies] {
-                         for (std::uint32_t i = 0; i < copies; ++i)
-                           inner->send_payload(from, to, kind, msg);
-                       });
+    // Defer through the inner transport's own scheduler so the delay is
+    // tracked by its idle/drain accounting (the socket dispatch strand's
+    // pending-event count; the sim event queue).
+    inner_.schedule_in(fault.extra_delay, std::move(send_copies));
     return;
   }
-
-  for (std::uint32_t i = 0; i < copies; ++i)
-    inner_.send_payload(from, to, kind, msg);
+  send_copies();
 }
 
 Time FaultTransport::now() const { return inner_.now(); }
@@ -207,6 +152,10 @@ bool FaultTransport::cancel_timer(TimerId id) {
 }
 
 sim::Metrics& FaultTransport::metrics() { return inner_.metrics(); }
+
+void FaultTransport::record(const std::function<void(sim::Metrics&)>& fn) {
+  inner_.record(fn);
+}
 
 const sim::Metrics& FaultTransport::metrics() const {
   return inner_.metrics();

@@ -7,17 +7,15 @@
 // inner transport and consults a sim::FaultModel (in practice the torture
 // harness's seeded FaultInjector) on every armed wire send, applying the
 // same drop / duplicate / delay / partition semantics the simulator
-// applies, with the same accounting:
+// applies, with the same ledger fates (net/ledger.hpp):
 //
-//  * drop       — the message never reaches the inner transport. Counted
-//                 net.messages / net.bytes / msg.<kind> (it was "put on the
-//                 wire" as far as the protocol is concerned) plus net.lost /
-//                 net.lost.<kind> / net.dropped.fault, and reported to the
-//                 send observer with SendRecord.lost = true.
+//  * drop       — the message never reaches the inner transport. The
+//                 decorator records it sent and lost to a fault, and reports
+//                 it to the send observer with SendRecord.lost = true.
 //  * duplicate  — N extra inner sends, each a full wire message on the
-//                 inner backend, plus net.dup per extra copy.
-//  * delay      — the inner send is deferred via inner.schedule_in(), and
-//                 net.delayed is counted. On the TCP backend the deferral
+//                 inner backend, plus one dup per extra copy.
+//  * delay      — the inner send is deferred via inner.schedule_in() and
+//                 recorded delayed. On the socket backends the deferral
 //                 rides the dispatch strand's timer queue, so wait_idle()
 //                 still accounts for in-flight delayed messages.
 //
@@ -35,9 +33,8 @@
 //
 // Threading: the decorator's own state (model, rng, seq counter) is guarded
 // by a mutex, so sends may arrive from any thread the inner transport
-// allows. Counter updates go into the inner transport's Metrics registry
-// from the caller's context — same discipline as the protocol layers,
-// which count into metrics() from transport-serialized handlers.
+// allows. Ledger records go through the inner transport's record(), which
+// serializes them with the backend's own.
 #pragma once
 
 #include <memory>
@@ -62,7 +59,6 @@ class FaultTransport final : public Transport {
   /// uninspected and unnumbered (overlay construction traffic stays
   /// pristine, and seq 0 lands on the first post-arm message).
   void arm();
-  bool armed() const;
 
   /// Replaces the fault model (nullptr = pass-through). Keeps the wire
   /// sequence counter — swapping models mid-run continues the numbering.
@@ -81,8 +77,7 @@ class FaultTransport final : public Transport {
             std::size_t payload_bytes, Handler deliver) override;
 
   // Cross-process plumbing forwards to the inner backend; payload sends go
-  // through the same armed inspection as closure sends (one wire sequence,
-  // whichever path the protocol uses).
+  // through the same armed inspection as closure sends.
   bool set_peer_address(EndpointId id, const PeerAddr& addr) override;
   bool has_peer_address(EndpointId id) const override;
   void set_payload_handler(PayloadHandler fn) override;
@@ -96,10 +91,17 @@ class FaultTransport final : public Transport {
 
   sim::Metrics& metrics() override;
   const sim::Metrics& metrics() const override;
+  void record(const std::function<void(sim::Metrics&)>& fn) override;
 
   void set_send_observer(SendObserver fn) override;
 
  private:
+  /// Numbers and inspects one armed wire message of `kind` and `bytes`,
+  /// then records a drop, or runs `forward` (one inner send) once per
+  /// surviving copy, now or after the injected delay.
+  void apply_faults(EndpointId from, EndpointId to, const std::string& kind,
+                    std::size_t bytes, Handler forward);
+
   Transport& inner_;
   mutable std::mutex mu_;
   std::unique_ptr<sim::FaultModel> model_;

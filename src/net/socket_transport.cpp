@@ -4,6 +4,8 @@
 
 #include <cstring>
 
+#include "net/ledger.hpp"
+
 namespace hkws::net {
 
 SocketTransport::SocketTransport(CommonConfig common)
@@ -43,20 +45,18 @@ void SocketTransport::join_dispatch() {
 
 void SocketTransport::register_endpoint(EndpointId id) {
   std::unique_lock<std::shared_mutex> lk(peers_mu_);
-  peers_[id].registered = true;
+  registered_.insert(id);
   down_reported_[id] = false;  // a re-registered peer may be reported again
 }
 
 void SocketTransport::unregister_endpoint(EndpointId id) {
   std::unique_lock<std::shared_mutex> lk(peers_mu_);
-  const auto it = peers_.find(id);
-  if (it != peers_.end()) it->second.registered = false;
+  registered_.erase(id);
 }
 
 bool SocketTransport::is_registered(EndpointId id) const {
   std::shared_lock<std::shared_mutex> lk(peers_mu_);
-  const auto it = peers_.find(id);
-  return it != peers_.end() && it->second.registered;
+  return registered_.contains(id);
 }
 
 // --- Peer-address table -----------------------------------------------------
@@ -80,6 +80,13 @@ bool SocketTransport::has_peer_address(EndpointId id) const {
   return addrs_.find(id) != addrs_.end();
 }
 
+void SocketTransport::set_payload_handler(PayloadHandler fn) {
+  // Under metrics_mu_, which on_envelope() holds when it reads the handler:
+  // that orders this write before the io and dispatch threads' reads.
+  std::lock_guard<std::mutex> lk(metrics_mu_);
+  payload_handler_ = std::move(fn);
+}
+
 bool SocketTransport::lookup_addr(EndpointId id, sockaddr_in* out) const {
   std::shared_lock<std::shared_mutex> lk(addrs_mu_);
   const auto it = addrs_.find(id);
@@ -97,44 +104,22 @@ void SocketTransport::send(EndpointId from, EndpointId to, std::string kind,
     // contract, preserved so protocol code behaves identically.
     {
       std::lock_guard<std::mutex> lk(metrics_mu_);
-      metrics_.count("net.local");
+      ledger::local(metrics_);
     }
-    enqueue_ready(std::move(deliver), to, /*counts_delivery=*/false);
+    enqueue_ready(Ready{std::move(deliver), false, {}});
     return;
   }
   if (!is_registered(to)) {
     std::lock_guard<std::mutex> lk(metrics_mu_);
-    metrics_.count("net.dropped");
-    metrics_.count("net.dropped." + kind);
-    metrics_.count("net.dropped.unregistered");
+    ledger::unregistered(metrics_, kind);
     return;
-  }
-
-  // Park the delivery handler; the io thread redeems it by message id when
-  // the envelope comes back off the socket. The deadline bounds how long a
-  // frame the wire swallowed can hold its in-flight slot (sweep_parked).
-  std::uint64_t msg_id;
-  {
-    std::lock_guard<std::mutex> lk(handlers_mu_);
-    msg_id = next_msg_++;
-    parked_.emplace(msg_id, ParkedEntry{std::move(deliver), to, kind,
-                                        Clock::now() + common_.parked_ttl});
-  }
-  {
-    std::lock_guard<std::mutex> lk(strand_mu_);
-    ++inflight_;
-  }
-  {
-    std::shared_lock<std::shared_mutex> lk(peers_mu_);
-    const auto it = peers_.find(from);
-    if (it != peers_.end())
-      it->second.sent.fetch_add(1, std::memory_order_relaxed);
   }
 
   EnvelopeMsg env;
   const std::optional<MsgKind> known = kind_of(kind);
   env.inner_kind = known.value_or(MsgKind::kOpaque);
   if (!known.has_value()) env.label = kind;
+  const std::uint64_t msg_id = next_msg_id();
   env.msg_id = msg_id;
   env.from = from;
   env.to = to;
@@ -144,32 +129,39 @@ void SocketTransport::send(EndpointId from, EndpointId to, std::string kind,
   const std::vector<std::uint8_t> frame =
       encode_frame(MsgKind::kEnvelope, WireMessage{env});
 
+  // Record the send, take the in-flight slot, then park the handler: every
+  // path that later takes the entry out (redemption, sweep, send error,
+  // stop) finds both already in place. The io thread redeems the handler by
+  // message id when the envelope comes back off the socket; the deadline
+  // bounds how long a frame the wire swallowed can hold its slot.
   {
     std::lock_guard<std::mutex> lk(metrics_mu_);
-    metrics_.count("net.messages");
-    metrics_.count("net.bytes", payload_bytes);
-    metrics_.count("net.wire_bytes", frame.size());
-    metrics_.count("msg." + kind);
+    ledger::sent(metrics_, kind, payload_bytes, frame.size());
+  }
+  {
+    std::lock_guard<std::mutex> lk(strand_mu_);
+    ++inflight_;
+  }
+  {
+    std::lock_guard<std::mutex> lk(handlers_mu_);
+    parked_.emplace(msg_id, ParkedEntry{std::move(deliver), kind,
+                                        Clock::now() + common_.parked_ttl});
   }
 
-  const WireResult res = wire_send(frame, nullptr);
-  if (res != WireResult::kOk) {
+  const WireLoss loss = wire_send(frame, nullptr);
+  if (loss) {
     // The wire swallowed the frame (connection death, stop() racing a late
     // send, or the backend's drop model): the message is lost, not
-    // delivered. Release the parked handler and attribute the loss; a dead
-    // connection is additionally a positive liveness signal the failure
-    // detector can act on immediately.
+    // delivered — unless the sweep or stop() already took the entry and
+    // recorded that. A dead connection is additionally a positive liveness
+    // signal the failure detector can act on immediately.
+    bool ours;
     {
       std::lock_guard<std::mutex> lk(handlers_mu_);
-      parked_.erase(msg_id);
+      ours = parked_.erase(msg_id) == 1;
     }
-    {
-      std::lock_guard<std::mutex> lk(strand_mu_);
-      --inflight_;
-    }
-    idle_cv_.notify_all();
-    count_loss(kind, res);
-    if (res == WireResult::kConnDead) report_peer_down(to);
+    if (ours) settle_lost(kind, *loss);
+    if (*loss == ledger::Cause::kConn) report_peer_down(to);
   }
   // Observe after the wire has decided the frame's fate, so SendRecord.lost
   // is truthful — a frame the connection swallowed is never reported
@@ -177,9 +169,8 @@ void SocketTransport::send(EndpointId from, EndpointId to, std::string kind,
   std::lock_guard<std::mutex> lk(metrics_mu_);
   if (observer_) {
     const Time at = now();
-    observer_(kind,
-              SendRecord{at, from, to, payload_bytes, res != WireResult::kOk,
-                         at});
+    observer_(kind, SendRecord{at, from, to, payload_bytes, loss.has_value(),
+                               at});
   }
 }
 
@@ -201,10 +192,7 @@ void SocketTransport::send_payload(EndpointId from, EndpointId to,
 
   EnvelopeMsg env;
   env.inner_kind = kind;
-  {
-    std::lock_guard<std::mutex> lk(handlers_mu_);
-    env.msg_id = next_msg_++;
-  }
+  env.msg_id = next_msg_id();
   env.from = from;
   env.to = to;
   env.declared_bytes = declared;
@@ -213,47 +201,45 @@ void SocketTransport::send_payload(EndpointId from, EndpointId to,
   const std::vector<std::uint8_t> frame =
       encode_frame(MsgKind::kEnvelope, WireMessage{std::move(env)});
 
+  const WireLoss loss = wire_send(frame, &remote);
+  // A cross-process message closes at the sender as soon as the wire has
+  // accepted or refused the frame (the receiver records only remote_in),
+  // so the whole fate is recorded at once.
   {
     std::lock_guard<std::mutex> lk(metrics_mu_);
-    metrics_.count("net.messages");
-    metrics_.count("net.bytes", declared);
-    metrics_.count("net.wire_bytes", frame.size());
-    metrics_.count("msg." + kind_label);
-    metrics_.count("net.remote.out");
+    ledger::sent(metrics_, kind_label, declared, frame.size());
+    ledger::remote_out(metrics_);
+    if (loss)
+      ledger::lost(metrics_, kind_label, *loss);
+    else
+      ledger::delivered(metrics_);
+    if (observer_) {
+      const Time at = now();
+      observer_(kind_label,
+                SendRecord{at, from, to, declared, loss.has_value(), at});
+    }
   }
-  {
-    std::shared_lock<std::shared_mutex> lk(peers_mu_);
-    const auto it = peers_.find(from);
-    if (it != peers_.end())
-      it->second.sent.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  const WireResult res = wire_send(frame, &remote);
-  if (res == WireResult::kOk) {
-    // The frame is on its way to another process; this process's
-    // conservation identity closes at the wire (the receiver counts it as
-    // net.remote.in, not net.delivered).
-    std::lock_guard<std::mutex> lk(metrics_mu_);
-    metrics_.count("net.delivered");
-  } else {
-    count_loss(kind_label, res);
-    if (res == WireResult::kConnDead) report_peer_down(to);
-  }
-  std::lock_guard<std::mutex> lk(metrics_mu_);
-  if (observer_) {
-    const Time at = now();
-    observer_(kind_label,
-              SendRecord{at, from, to, declared, res != WireResult::kOk, at});
-  }
+  if (loss == ledger::Cause::kConn) report_peer_down(to);
 }
 
-void SocketTransport::count_loss(const std::string& kind, WireResult why) {
-  std::lock_guard<std::mutex> lk(metrics_mu_);
-  metrics_.count("net.lost");
-  metrics_.count("net.lost." + kind);
-  metrics_.count("net.dropped." + kind);
-  metrics_.count(why == WireResult::kDropped ? "net.dropped.fault"
-                                             : "net.dropped.conn");
+std::uint64_t SocketTransport::next_msg_id() {
+  std::lock_guard<std::mutex> lk(handlers_mu_);
+  return next_msg_++;
+}
+
+void SocketTransport::settle_lost(const std::string& kind,
+                                  ledger::Cause why) {
+  // Fate first, slot second: a wait_idle() caller that sees the slot free
+  // (under strand_mu_) also sees the loss.
+  {
+    std::lock_guard<std::mutex> lk(metrics_mu_);
+    ledger::lost(metrics_, kind, why);
+  }
+  {
+    std::lock_guard<std::mutex> lk(strand_mu_);
+    --inflight_;
+  }
+  idle_cv_.notify_all();
 }
 
 void SocketTransport::report_peer_down(EndpointId to) {
@@ -275,29 +261,20 @@ void SocketTransport::report_peer_down(EndpointId to) {
   schedule_in(0, [cb = std::move(cb), to] { cb(to); });
 }
 
-void SocketTransport::enqueue_ready(Handler fn, EndpointId at,
-                                    bool counts_delivery) {
+void SocketTransport::enqueue_ready(Ready r) {
+  bool queued = false;
   {
     std::lock_guard<std::mutex> lk(strand_mu_);
-    if (stopping_) return;
-    if (!counts_delivery) ++inflight_;  // wire sends already counted
-    ready_.emplace_back(
-        [this, fn = std::move(fn), at, counts_delivery] {
-          if (counts_delivery) {
-            std::lock_guard<std::mutex> lk2(metrics_mu_);
-            metrics_.count("net.delivered");
-          }
-          {
-            std::shared_lock<std::shared_mutex> lk2(peers_mu_);
-            const auto it = peers_.find(at);
-            if (it != peers_.end())
-              it->second.delivered.fetch_add(1, std::memory_order_relaxed);
-          }
-          fn();
-        },
-        at);
+    if (!stopping_) {
+      if (!r.wire) ++inflight_;  // wire sends took their slot in send()
+      ready_.push_back(std::move(r));
+      queued = true;
+    }
   }
-  strand_cv_.notify_one();
+  if (queued)
+    strand_cv_.notify_one();
+  else if (r.wire)  // stopping: the handler will never run
+    settle_lost(r.kind, ledger::Cause::kConn);
 }
 
 // --- Inbound envelopes (io threads) -----------------------------------------
@@ -314,56 +291,51 @@ void SocketTransport::on_envelope(const EnvelopeMsg& env) {
 
   if (!env.payload.empty()) {
     // Cross-process payload: decode the inner frame and dispatch it to the
-    // payload handler on the strand. The sender's process counted delivery;
-    // here it is remote traffic in.
+    // payload handler on the strand. The sender's process recorded its
+    // fate; here it is remote traffic in.
     std::optional<DecodedFrame> inner =
         decode_frame(env.payload.data(), env.payload.size());
     if (!inner.has_value() || inner->kind != env.inner_kind) {
       note_decode_error();
       return;
     }
-    if (!payload_handler_) {
-      std::lock_guard<std::mutex> lk(metrics_mu_);
-      metrics_.count("net.stray");
-      return;
-    }
     {
       std::lock_guard<std::mutex> lk(metrics_mu_);
-      metrics_.count("net.remote.in");
-      metrics_.count("net.remote.in." + std::string(kind_name(inner->kind)));
+      if (!payload_handler_) {
+        ledger::stray(metrics_);
+        return;
+      }
+      ledger::remote_in(metrics_, kind_name(inner->kind));
     }
-    enqueue_ready(
+    enqueue_ready(Ready{
         [this, from = env.from, to = env.to, kind = inner->kind,
          msg = std::move(inner->msg)] { payload_handler_(from, to, kind, msg); },
-        env.to, /*counts_delivery=*/false);
+        false, {}});
     return;
   }
 
-  Handler h;
-  EndpointId at = 0;
+  ParkedEntry e;
   {
     std::lock_guard<std::mutex> lk(handlers_mu_);
     const auto it = parked_.find(env.msg_id);
     if (it == parked_.end()) {
       // Unknown message id: a duplicate or stray frame. Count and drop.
       std::lock_guard<std::mutex> mlk(metrics_mu_);
-      metrics_.count("net.stray");
+      ledger::stray(metrics_);
       return;
     }
-    h = std::move(it->second.fn);
-    at = it->second.to;
+    e = std::move(it->second);
     parked_.erase(it);
   }
-  enqueue_ready(std::move(h), at, /*counts_delivery=*/true);
+  enqueue_ready(Ready{std::move(e.fn), true, std::move(e.kind)});
 }
 
-void SocketTransport::sweep_parked() {
+void SocketTransport::sweep_parked(Clock::time_point cutoff) {
   std::vector<ParkedEntry> dead;
-  const Clock::time_point now_tp = Clock::now();
   {
     std::lock_guard<std::mutex> lk(handlers_mu_);
     for (auto it = parked_.begin(); it != parked_.end();) {
-      if (it->second.deadline <= now_tp) {
+      if (it->second.deadline <= cutoff) {
         dead.push_back(std::move(it->second));
         it = parked_.erase(it);
       } else {
@@ -371,16 +343,22 @@ void SocketTransport::sweep_parked() {
       }
     }
   }
-  if (dead.empty()) return;
-  {
-    std::lock_guard<std::mutex> lk(strand_mu_);
-    inflight_ -= std::min<std::uint64_t>(inflight_, dead.size());
-  }
-  idle_cv_.notify_all();
   // The envelope never came back: the frame died on the wire. Attribute
   // like any other connection loss — but no peer-down report; a lost frame
   // is packet death, not positive evidence the destination process died.
-  for (const ParkedEntry& e : dead) count_loss(e.kind, WireResult::kConnDead);
+  for (const ParkedEntry& e : dead) settle_lost(e.kind, ledger::Cause::kConn);
+}
+
+void SocketTransport::abandon_inflight() {
+  sweep_parked(Clock::time_point::max());
+  std::deque<Ready> ready;
+  {
+    std::lock_guard<std::mutex> lk(strand_mu_);
+    ready.swap(ready_);
+  }
+  // The handlers are destroyed here, outside every lock.
+  for (const Ready& r : ready)
+    if (r.wire) settle_lost(r.kind, ledger::Cause::kConn);
 }
 
 void SocketTransport::note_decode_error() {
@@ -397,10 +375,14 @@ void SocketTransport::dispatch_loop() {
     const Clock::time_point now_tp = Clock::now();
 
     if (!ready_.empty()) {
-      auto [fn, at] = std::move(ready_.front());
+      Ready r = std::move(ready_.front());
       ready_.pop_front();
       lk.unlock();
-      fn();
+      if (r.wire) {
+        std::lock_guard<std::mutex> mlk(metrics_mu_);
+        ledger::delivered(metrics_);
+      }
+      r.fn();
       lk.lock();
       --inflight_;
       idle_cv_.notify_all();
@@ -472,6 +454,11 @@ bool SocketTransport::cancel_timer(TimerId id) {
 }
 
 // --- Accounting / control ---------------------------------------------------
+
+void SocketTransport::record(const std::function<void(sim::Metrics&)>& fn) {
+  std::lock_guard<std::mutex> lk(metrics_mu_);
+  fn(metrics_);
+}
 
 void SocketTransport::set_send_observer(SendObserver fn) {
   std::lock_guard<std::mutex> lk(metrics_mu_);

@@ -8,21 +8,20 @@
 //     handler, ships an addressed envelope through the backend's wire, and
 //     redeems the handler by message id when the envelope returns. Entries
 //     carry a deadline; a periodic sweep (driven from the backend's io
-//     loop) releases entries whose envelope died on the wire — counted
-//     net.dropped.conn, net.lost — so a read-side frame death can never
-//     leak an in-flight slot and wedge drain_and_stop();
+//     loop) releases entries whose envelope died on the wire as lost, so a
+//     read-side frame death can never leak an in-flight slot and wedge
+//     drain_and_stop();
 //   * the peer-address table: endpoints owned by other processes, mapped
 //     to their socket addresses. send_payload() to an addressed endpoint
 //     serializes the real message (wire codec frame inside the envelope's
 //     payload field) and routes it to the owning process, which decodes it
 //     and dispatches to its payload handler on its own strand;
-//   * accounting: the simulator's counters and conservation identity
-//     (net.messages == net.delivered + net.lost) per process, with every
-//     loss attributed to exactly one cause counter. Outbound cross-process
-//     messages count net.delivered at the sender once the wire accepts the
-//     frame (plus net.remote.out); the receiving process counts only
-//     net.remote.in — so each process's identity closes over traffic it
-//     originated.
+//   * accounting: every fate goes through net/ledger.hpp, so each
+//     process's ledger identities hold over the traffic it originated. A
+//     wire message's fate is recorded before its in-flight slot is
+//     released, by whichever path takes its parked entry out (redemption,
+//     sweep, send error, stop), so wait_idle() never returns on an open
+//     identity.
 //
 // Backends implement the wire: wire_send() writes one encoded envelope
 // frame either to the loopback self-wire (remote == nullptr) or to a
@@ -39,13 +38,16 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "net/ledger.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
 
@@ -84,6 +86,7 @@ class SocketTransport : public Transport {
 
   bool set_peer_address(EndpointId id, const PeerAddr& addr) override;
   bool has_peer_address(EndpointId id) const override;
+  void set_payload_handler(PayloadHandler fn) override;
   void send_payload(EndpointId from, EndpointId to, MsgKind kind,
                     const WireMessage& msg) override;
 
@@ -94,6 +97,7 @@ class SocketTransport : public Transport {
 
   sim::Metrics& metrics() override { return metrics_; }
   const sim::Metrics& metrics() const override { return metrics_; }
+  void record(const std::function<void(sim::Metrics&)>& fn) override;
   void set_send_observer(SendObserver fn) override;
 
   // --- Runtime control ----------------------------------------------------
@@ -144,18 +148,16 @@ class SocketTransport : public Transport {
 
   explicit SocketTransport(CommonConfig common);
 
-  /// How the wire disposed of one envelope frame.
-  enum class WireResult {
-    kOk,        ///< accepted by the socket
-    kConnDead,  ///< connection dead / socket gone (net.dropped.conn)
-    kDropped,   ///< backend drop model discarded it (net.dropped.fault)
-  };
+  /// Why the wire lost a frame, or nullopt once the socket accepted it:
+  /// kConn when the connection or socket is gone, kFault when the
+  /// backend's drop model discarded the frame.
+  using WireLoss = std::optional<ledger::Cause>;
 
   /// Writes one encoded envelope frame. `remote` is nullptr for the
   /// loopback self-wire (parked-handler mode) or the owning process's
   /// address for cross-process payload frames.
-  virtual WireResult wire_send(const std::vector<std::uint8_t>& frame,
-                               const sockaddr_in* remote) = 0;
+  virtual WireLoss wire_send(const std::vector<std::uint8_t>& frame,
+                             const sockaddr_in* remote) = 0;
 
   /// Launches the dispatch thread (call once sockets are up).
   void start_dispatch();
@@ -171,9 +173,15 @@ class SocketTransport : public Transport {
   /// payload message (non-empty payload).
   void on_envelope(const EnvelopeMsg& env);
 
-  /// Releases parked entries past their deadline as net.dropped.conn.
-  /// Backends call this from their io loop (each poll timeout tick).
-  void sweep_parked();
+  /// Records parked entries whose deadline is at or before `cutoff` lost
+  /// to the wire. Backends call this from their io loop (each poll
+  /// timeout tick).
+  void sweep_parked(Clock::time_point cutoff = Clock::now());
+
+  /// Records every message still in flight — parked, or redeemed but not
+  /// yet run — as lost (net.dropped.conn): the runtime stopped under it.
+  /// Backends call this from stop() once their io thread has joined.
+  void abandon_inflight();
 
   /// Looks up `id` in the peer-address table. False if it has no address
   /// (the endpoint is local or unknown).
@@ -182,21 +190,10 @@ class SocketTransport : public Transport {
   /// Counts one failed envelope/payload decode (decode_errors()).
   void note_decode_error();
 
-  const CommonConfig& common() const noexcept { return common_; }
-
  private:
-  /// Per-peer node state. Counters are atomic: sends bump them under the
-  /// shared (reader) side of peers_mu_, concurrently.
-  struct PeerState {
-    bool registered = false;
-    std::atomic<std::uint64_t> sent{0};       ///< wire messages originated
-    std::atomic<std::uint64_t> delivered{0};  ///< handlers executed here
-  };
-
   /// A parked delivery handler waiting for its envelope to return.
   struct ParkedEntry {
     Handler fn;
-    EndpointId to = 0;
     std::string kind;             ///< for loss attribution if swept
     Clock::time_point deadline;   ///< sweep releases past this
   };
@@ -210,20 +207,30 @@ class SocketTransport : public Transport {
     Handler fn;
   };
 
+  /// A handler queued for the strand. A `wire` entry is a parked message
+  /// whose envelope came back: it records delivered when it runs, or lost
+  /// if the runtime stops first. Other entries (local sends, remote
+  /// payloads) take an in-flight slot when queued.
+  struct Ready {
+    Handler fn;
+    bool wire = false;
+    std::string kind;  ///< wire entries only, for loss attribution
+  };
+
   void dispatch_loop();
-  void enqueue_ready(Handler fn, EndpointId at, bool counts_delivery);
+  void enqueue_ready(Ready r);
   void report_peer_down(EndpointId to);
-  /// Counts one wire loss: net.lost[.kind], net.dropped[.kind], plus the
-  /// cause counter (net.dropped.conn or net.dropped.fault).
-  void count_loss(const std::string& kind, WireResult why);
+  std::uint64_t next_msg_id();
+  /// Records one in-flight wire message lost, then releases its slot.
+  void settle_lost(const std::string& kind, ledger::Cause why);
 
   CommonConfig common_;
   Clock::time_point start_;
 
-  // Per-peer endpoint state: reader-writer lock, sends read, membership
+  // Registered endpoints: reader-writer lock, sends read, membership
   // writes.
   mutable std::shared_mutex peers_mu_;
-  std::unordered_map<EndpointId, PeerState> peers_;
+  std::unordered_set<EndpointId> registered_;
 
   // Endpoints owned by other processes, keyed to their socket address.
   mutable std::shared_mutex addrs_mu_;
@@ -238,7 +245,7 @@ class SocketTransport : public Transport {
   mutable std::mutex strand_mu_;
   std::condition_variable strand_cv_;
   std::condition_variable idle_cv_;
-  std::deque<std::pair<Handler, EndpointId>> ready_;  ///< delivered, FIFO
+  std::deque<Ready> ready_;  ///< delivered, FIFO
   std::map<ScheduleKey, TimerEntry> schedule_;  ///< timers + plain events
   std::unordered_map<TimerId, ScheduleKey> timer_keys_;  ///< cancel index
   std::uint64_t pending_events_ = 0;  ///< schedule_ entries with id == 0

@@ -138,6 +138,7 @@ void TcpTransport::stop() {
   }
   join_dispatch();
   if (io_thread_.joinable()) io_thread_.join();
+  abandon_inflight();
   // Tear the out-fds down under their lane locks: a racing late send sees
   // fd == -1 and counts a connection loss instead of writing a dead fd.
   for (std::size_t lane = 0; lane < out_fds_.size(); ++lane) {
@@ -158,22 +159,22 @@ void TcpTransport::stop() {
 
 // --- The wire ---------------------------------------------------------------
 
-SocketTransport::WireResult TcpTransport::wire_send(
+SocketTransport::WireLoss TcpTransport::wire_send(
     const std::vector<std::uint8_t>& frame, const sockaddr_in* remote) {
-  if (stopping()) return WireResult::kConnDead;
+  constexpr ledger::Cause kDead = ledger::Cause::kConn;
+  if (stopping()) return kDead;
   if (remote == nullptr) {
     // Self-wire: round-robin over the loopback lanes. Guard the lane math —
     // a send racing stop() (or a constructor that never built lanes) must
     // count a loss, not divide by zero.
     const std::size_t lanes = out_fds_.size();
-    if (lanes == 0) return WireResult::kConnDead;
+    if (lanes == 0) return kDead;
     const std::size_t lane =
         round_robin_.fetch_add(1, std::memory_order_relaxed) % lanes;
     std::lock_guard<std::mutex> lk(out_mu_[lane]);
-    if (out_fds_[lane] < 0) return WireResult::kConnDead;
-    return write_all(out_fds_[lane], frame.data(), frame.size())
-               ? WireResult::kOk
-               : WireResult::kConnDead;
+    if (out_fds_[lane] < 0) return kDead;
+    if (!write_all(out_fds_[lane], frame.data(), frame.size())) return kDead;
+    return std::nullopt;
   }
   // Cross-process: one ordered stream per destination address, established
   // lazily and re-established after failure (a restarted process gets a
@@ -187,12 +188,12 @@ SocketTransport::WireResult TcpTransport::wire_send(
   }
   std::lock_guard<std::mutex> lk(rc->mu);
   if (rc->fd < 0) rc->fd = connect_to(*remote);
-  if (rc->fd < 0) return WireResult::kConnDead;
+  if (rc->fd < 0) return kDead;
   if (!write_all(rc->fd, frame.data(), frame.size())) {
     close_fd(rc->fd);
-    return WireResult::kConnDead;
+    return kDead;
   }
-  return WireResult::kOk;
+  return std::nullopt;
 }
 
 void TcpTransport::sever_wire() {

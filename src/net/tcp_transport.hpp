@@ -90,8 +90,8 @@ class TcpTransport final : public SocketTransport {
   void sever_wire();
 
  private:
-  WireResult wire_send(const std::vector<std::uint8_t>& frame,
-                       const sockaddr_in* remote) override;
+  WireLoss wire_send(const std::vector<std::uint8_t>& frame,
+                     const sockaddr_in* remote) override;
 
   void io_loop();
   /// Parses complete frames out of a connection's read buffer; returns

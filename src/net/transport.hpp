@@ -9,10 +9,10 @@
 //  * time — now(), one-shot events (schedule_in) and cancelable timers
 //    (set_timer / cancel_timer), the hooks behind every protocol timeout;
 //  * endpoint liveness — register/unregister/is_registered;
-//  * accounting — a Metrics registry fed with the same counter names on
-//    every backend (net.messages, msg.<kind>, net.bytes, ...), and a
-//    per-send observer for the tracing subsystem, so per-kind counters and
-//    hop traces stay truthful whichever backend carries the traffic.
+//  * accounting — a Metrics registry into which every backend records
+//    each message's fate through the message ledger (net/ledger.hpp), and
+//    a per-send observer for the tracing subsystem, so per-kind counters
+//    and hop traces stay truthful whichever backend carries the traffic.
 //
 // Three implementations ship today:
 //  * sim::Network — the deterministic discrete-event simulator (see
@@ -31,18 +31,14 @@
 //
 // Contract notes shared by all implementations (inherited from the
 // simulator's semantics, which the protocol layers were written against):
-//  * Local sends (from == to) are free: delivered asynchronously but not
-//    counted as network messages ("net.local").
-//  * Sends to unregistered endpoints are silently discarded and counted as
-//    "net.dropped" / "net.dropped.<kind>" (models absent peers).
-//  * Every discarded or lost message is attributed to exactly one cause
-//    counter: "net.dropped.unregistered" (absent peer),
-//    "net.dropped.fault" (a drop/fault model or the FaultTransport
-//    decorator lost it), or "net.dropped.conn" (TCP backend only: the
-//    connection died under the frame). Fault and conn losses also count
-//    "net.lost" / "net.lost.<kind>" — they were on the wire — so the
-//    conservation identity net.messages == net.delivered + net.lost holds
-//    per backend once traffic drains.
+//  * Local sends (from == to) are free: delivered asynchronously, recorded
+//    as the ledger's "local" fate, not as network messages.
+//  * Sends to unregistered endpoints are silently discarded (models absent
+//    peers): the "unregistered" fate, the only one that counts
+//    net.dropped.<kind>.
+//  * Every wire message records exactly one fate after "sent": delivered,
+//    or lost to one cause. net/ledger.hpp states the two identities this
+//    keeps, which hold per backend (per process) once traffic drains.
 //  * Handlers run one at a time, in delivery order, never re-entrantly
 //    inside send() — protocol state machines are single-threaded with
 //    respect to their transport (the sim's event loop; the TCP backend's
@@ -104,7 +100,7 @@ class Transport {
   // --- Endpoints ----------------------------------------------------------
 
   /// Declares an endpoint reachable. Sends to unregistered endpoints are
-  /// counted as "net.dropped" and silently discarded.
+  /// silently discarded (the ledger's "unregistered" fate).
   virtual void register_endpoint(EndpointId id) = 0;
   virtual void unregister_endpoint(EndpointId id) = 0;
   virtual bool is_registered(EndpointId id) const = 0;
@@ -158,7 +154,7 @@ class Transport {
   /// Sends `msg` (layout must match `kind`) from `from` to `to` through the
   /// wire codec. Local and sim deliveries decode the frame back and invoke
   /// the payload handler; remote deliveries ship it to the owning process.
-  /// Accounting matches send(): same counters, same conservation identity.
+  /// Accounting matches send(): the same ledger fates.
   virtual void send_payload(EndpointId from, EndpointId to, MsgKind kind,
                             const WireMessage& msg) {
     std::vector<std::uint8_t> frame = encode_frame(kind, msg);
@@ -192,6 +188,13 @@ class Transport {
 
   virtual sim::Metrics& metrics() = 0;
   virtual const sim::Metrics& metrics() const = 0;
+
+  /// Runs `fn` on metrics(), serialized with the backend's own ledger
+  /// records, from any thread (decorators record through this). The
+  /// default is a direct call, right for single-threaded backends.
+  virtual void record(const std::function<void(sim::Metrics&)>& fn) {
+    fn(metrics());
+  }
 
   /// Installs (or, with nullptr, removes) a per-send observer — the tracing
   /// hook (see src/obs). Invoked synchronously from send(); keep it cheap.

@@ -67,6 +67,7 @@ void UdpTransport::stop() {
   }
   join_dispatch();
   if (io_thread_.joinable()) io_thread_.join();
+  abandon_inflight();
   {
     std::lock_guard<std::mutex> lk(send_mu_);
     if (fd_ >= 0) {
@@ -82,24 +83,25 @@ void UdpTransport::stop() {
   }
 }
 
-SocketTransport::WireResult UdpTransport::wire_send(
+SocketTransport::WireLoss UdpTransport::wire_send(
     const std::vector<std::uint8_t>& frame, const sockaddr_in* remote) {
-  if (stopping()) return WireResult::kConnDead;
-  if (frame.size() > kMaxDatagram) return WireResult::kConnDead;
+  constexpr ledger::Cause kDead = ledger::Cause::kConn;
+  if (stopping()) return kDead;
+  if (frame.size() > kMaxDatagram) return kDead;
   const sockaddr_in dest = remote != nullptr ? *remote : self_addr_;
 
   std::lock_guard<std::mutex> lk(send_mu_);
-  if (fd_ < 0) return WireResult::kConnDead;
+  if (fd_ < 0) return kDead;
   // The seeded drop model: the frame dies here, exactly where a real
   // congested path would discard the datagram.
   const std::uint64_t ppm = drop_ppm_.load(std::memory_order_relaxed);
   if (ppm > 0 && drop_rng_.next_below(1000000) < ppm)
-    return WireResult::kDropped;
+    return ledger::Cause::kFault;
   const ssize_t n =
       ::sendto(fd_, frame.data(), frame.size(), 0,
                reinterpret_cast<const sockaddr*>(&dest), sizeof(dest));
-  return n == static_cast<ssize_t>(frame.size()) ? WireResult::kOk
-                                                 : WireResult::kConnDead;
+  if (n != static_cast<ssize_t>(frame.size())) return kDead;
+  return std::nullopt;
 }
 
 void UdpTransport::io_loop() {

@@ -12,18 +12,15 @@
 // boundaries are frame boundaries — and feeds them to the SocketTransport
 // base exactly like the TCP backend.
 //
-// Loss semantics (docs/ROBUSTNESS.md):
-//  * the seeded drop model discards a frame at send time — counted
-//    net.dropped.fault + net.lost, like a sim drop model, with no
-//    peer-down report (packet loss is not peer death);
+// Loss semantics (the ledger's lost fate, docs/ROBUSTNESS.md):
+//  * the seeded drop model discards a frame at send time — lost to a
+//    fault, like a sim drop model, with no peer-down report (packet loss
+//    is not peer death);
 //  * a frame the kernel or the read side swallows (buffer overrun,
-//    drop_inbound) leaks no state: the parked-handler sweep releases the
-//    sender's slot as net.dropped.conn after parked_ttl;
-//  * frames larger than one datagram (kMaxDatagram) cannot be carried and
-//    are counted net.dropped.conn at send.
-// Either way the conservation identity net.messages == net.delivered +
-// net.lost closes per process; retransmission above (OverlayIndex /
-// PeerSlice step timers) is what masks the loss from the application.
+//    drop_inbound), or one larger than a datagram (kMaxDatagram), is lost
+//    to the wire: the send or the parked-handler sweep records it.
+// Retransmission above (OverlayIndex / PeerSlice step timers) is what
+// masks the loss from the application.
 //
 // Unlike TCP there is no per-destination ordering guarantee; protocol
 // layers that need publish-before-query ordering must settle between
@@ -78,8 +75,8 @@ class UdpTransport final : public SocketTransport {
   void stop() override;
 
  private:
-  WireResult wire_send(const std::vector<std::uint8_t>& frame,
-                       const sockaddr_in* remote) override;
+  WireLoss wire_send(const std::vector<std::uint8_t>& frame,
+                     const sockaddr_in* remote) override;
   void io_loop();
 
   Config cfg_;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <utility>
 
+#include "net/ledger.hpp"
+
 namespace hkws::sim {
 
 LogNormalLatency::LogNormalLatency(double median_ticks, double sigma, Time cap)
@@ -45,7 +47,7 @@ void Network::set_fault_model(std::unique_ptr<FaultModel> model) {
 
 void Network::deliver_after(Time delay, const Handler& deliver) {
   clock_.schedule_in(delay, [this, deliver] {
-    metrics_.count("net.delivered");
+    net::ledger::delivered(metrics_);
     deliver();
   });
 }
@@ -55,54 +57,41 @@ void Network::send(EndpointId from, EndpointId to, std::string kind,
   if (from == to) {
     // Local call: no network traffic, but preserve async semantics so
     // protocol code behaves identically for local and remote destinations.
-    metrics_.count("net.local");
+    net::ledger::local(metrics_);
     clock_.schedule_in(0, std::move(deliver));
     return;
   }
   if (!endpoints_.contains(to)) {
-    metrics_.count("net.dropped");
-    metrics_.count("net.dropped." + kind);
-    metrics_.count("net.dropped.unregistered");
+    net::ledger::unregistered(metrics_, kind);
     return;
   }
-  metrics_.count("net.messages");
-  metrics_.count("net.bytes", payload_bytes);
-  metrics_.count("msg." + kind);
+  net::ledger::sent(metrics_, kind, payload_bytes);
   const Time now = clock_.now();
   const auto observe = [&](bool lost, Time deliver_at) {
     if (observer_)
       observer_(kind, SendRecord{now, from, to, payload_bytes, lost,
                                  lost ? now : deliver_at});
   };
-  if (drop_ != nullptr && drop_->drop(from, to, kind, rng_)) {
-    metrics_.count("net.lost");
-    metrics_.count("net.lost." + kind);
-    metrics_.count("net.dropped.fault");
-    observe(true, 0);
-    return;
-  }
+  // The fault model numbers and inspects only what the drop model kept.
+  const bool dropped = drop_ != nullptr && drop_->drop(from, to, kind, rng_);
   FaultActions fault;
-  if (fault_ != nullptr)
+  if (!dropped && fault_ != nullptr)
     fault = fault_->inspect(from, to, kind, wire_seq_, rng_);
-  ++wire_seq_;
-  if (fault.drop) {
-    metrics_.count("net.lost");
-    metrics_.count("net.lost." + kind);
-    metrics_.count("net.dropped.fault");
+  if (!dropped) ++wire_seq_;
+  if (dropped || fault.drop) {
+    net::ledger::lost(metrics_, kind, net::ledger::Cause::kFault);
     observe(true, 0);
     return;
   }
   const Time base = latency_->latency(from, to, rng_);
-  if (fault.extra_delay != 0) metrics_.count("net.delayed");
+  if (fault.extra_delay != 0) net::ledger::delayed(metrics_);
   observe(false, now + base + fault.extra_delay);
   deliver_after(base + fault.extra_delay, deliver);
   for (std::uint32_t i = 0; i < fault.duplicates; ++i) {
     // Each duplicate is a real wire message with its own latency draw, so
     // copies overtake each other (the interesting reordering case).
-    metrics_.count("net.messages");
-    metrics_.count("net.bytes", payload_bytes);
-    metrics_.count("msg." + kind);
-    metrics_.count("net.dup");
+    net::ledger::sent(metrics_, kind, payload_bytes);
+    net::ledger::dup(metrics_);
     const Time dup_latency = latency_->latency(from, to, rng_);
     observe(false, now + dup_latency);
     deliver_after(dup_latency, deliver);

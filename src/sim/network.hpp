@@ -136,20 +136,20 @@ class Network : public net::Transport {
                    std::uint64_t seed = 1);
 
   /// Declares an endpoint reachable. Sends to unregistered endpoints are
-  /// counted as "net.dropped" and silently discarded (models absent peers).
+  /// silently discarded (models absent peers).
   void register_endpoint(EndpointId id) override;
   void unregister_endpoint(EndpointId id) override;
   bool is_registered(EndpointId id) const override;
 
-  /// Installs (or, with nullptr, removes) a message-loss model. Lost sends
-  /// are counted under "net.lost" / "net.lost.<kind>" — and still under
-  /// "net.messages", since they were put on the wire — but never delivered.
+  /// Installs (or, with nullptr, removes) a message-loss model. A lost
+  /// send is recorded sent (it was put on the wire) and lost to a fault,
+  /// never delivered.
   void set_drop_model(std::unique_ptr<DropModel> model);
   bool lossy() const noexcept { return drop_ != nullptr; }
 
   /// Installs (or, with nullptr, removes) a fault-injection model. Injected
-  /// drops count under "net.lost" like drop-model losses; duplicates count
-  /// as full wire messages plus "net.dup"; delay spikes count "net.delayed".
+  /// drops are lost like drop-model losses; each duplicate is a full wire
+  /// message plus a dup; delay spikes are recorded delayed.
   void set_fault_model(std::unique_ptr<FaultModel> model);
 
   /// One wire message, reported to the send observer after the drop/fault
@@ -193,14 +193,14 @@ class Network : public net::Transport {
   std::uint64_t messages_lost() const { return metrics_.counter("net.lost"); }
 
   /// Total messages handed to a destination handler. After the event queue
-  /// drains, conservation holds: net.messages == net.delivered + net.lost.
+  /// drains, net::ledger::identity_error(metrics()) is empty.
   std::uint64_t messages_delivered() const {
     return metrics_.counter("net.delivered");
   }
 
  private:
-  /// Schedules one delivery of `deliver` after `delay`, counting
-  /// "net.delivered" at arrival time.
+  /// Schedules one delivery of `deliver` after `delay`, recording it
+  /// delivered at arrival time.
   void deliver_after(Time delay, const Handler& deliver);
 
   EventQueue& clock_;

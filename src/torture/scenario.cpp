@@ -30,6 +30,7 @@
 #include "index/ranking.hpp"
 #include "maint/maintenance.hpp"
 #include "net/fault_transport.hpp"
+#include "net/ledger.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/udp_transport.hpp"
 #include "obs/trace.hpp"
@@ -94,7 +95,7 @@ struct Oracle {
 struct Runtime {
   sim::EventQueue* clock = nullptr;     ///< sim mode
   net::SocketTransport* sock = nullptr; ///< socket mode (tcp or udp)
-  /// Wire-accounting source (the conservation counters); null in-process.
+  /// Wire-accounting source (the ledger identities); null in-process.
   net::Transport* transport = nullptr;
   /// The dispatch strand's thread id (post_sync re-entrancy guard),
   /// captured by capture_strand().
@@ -212,10 +213,6 @@ struct Runtime {
     if (clock != nullptr) return clock->live_timer_count();
     if (sock != nullptr) return sock->live_timer_count();
     return 0;
-  }
-
-  std::uint64_t counter(const char* name) const {
-    return transport != nullptr ? transport->metrics().counter(name) : 0;
   }
 };
 
@@ -480,11 +477,6 @@ void execute(const ScenarioConfig& cfg, Ops& ops, ScenarioReport& rep,
   // index entries survive, so withdraws (which go through the DOLR) would
   // desynchronize the oracle. Publishes stay safe.
   bool withdraw_safe = true;
-  // Cost-model charges during churn repair (Chord finger fixing counts
-  // "net.messages" synchronously without a wire delivery) are excluded from
-  // the conservation identity by measuring each repair window's imbalance
-  // while the queue is otherwise drained.
-  std::uint64_t synthetic_messages = 0;
 
   for (std::size_t round = 0; round < cfg.rounds && rep.ok(); ++round) {
     if (tracer != nullptr) tracer->begin(ts(), 0, "round", "torture", round);
@@ -492,36 +484,12 @@ void execute(const ScenarioConfig& cfg, Ops& ops, ScenarioReport& rep,
     if (cfg.churn && ops.fail_peer != nullptr) {
       for (const FaultEvent& ev : rep.plan.events) {
         if (ev.kind != FaultKind::kFailPeer || ev.target != round) continue;
-        if (continuous) {
-          // Kill only; detection and repair are the plane's job (it tracks
-          // its own synthetic stabilization charges).
-          const std::vector<ObjectId> lost =
-              ops.fail_peer(ev.arg, oracle.live);
-          for (ObjectId id : lost) oracle.live.erase(id);
-          withdraw_safe = false;
-          continue;
-        }
+        // With a plane (continuous churn) this only kills; detection and
+        // repair are the plane's job.
         const std::vector<ObjectId> lost =
             ops.fail_peer(ev.arg, oracle.live);
         for (ObjectId id : lost) oracle.live.erase(id);
         withdraw_safe = false;
-        if (rt.transport != nullptr) {
-          // fail_peer returns with the queue drained, so the *cumulative*
-          // sent/delivered/lost imbalance at this instant is exactly the
-          // synthetic maintenance charge so far. (A windowed delta would
-          // misattribute messages that were in flight when the window
-          // opened — the hot-spot plane's heartbeats, for instance.)
-          // Charges the plane already accounts for via synthetic_messages()
-          // — delay-induced false confirmations trigger stabilize rounds
-          // between kills — are subtracted here, because the final identity
-          // adds the plane's total separately.
-          rt.post_sync([&] {
-            synthetic_messages =
-                rt.counter("net.messages") - rt.counter("net.delivered") -
-                rt.counter("net.lost") -
-                (ops.plane != nullptr ? ops.plane->synthetic_messages() : 0);
-          });
-        }
       }
     }
 
@@ -776,10 +744,7 @@ void execute(const ScenarioConfig& cfg, Ops& ops, ScenarioReport& rep,
     }
   }
   if (ops.plane != nullptr) {
-    rt.post_sync([&] {
-      synthetic_messages += ops.plane->synthetic_messages();
-      ops.plane->stop();
-    });
+    rt.post_sync([&] { ops.plane->stop(); });
   }
   // Final drain so the whole-run invariants see a quiet wire (the
   // verification pumps above stop at first answer, not at empty queue).
@@ -793,34 +758,14 @@ void execute(const ScenarioConfig& cfg, Ops& ops, ScenarioReport& rep,
     });
   }
   if (rt.transport != nullptr) {
-    std::uint64_t sent = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t lost = 0;
-    std::uint64_t fault = 0;
-    std::uint64_t conn = 0;
-    rt.post_sync([&] {
-      sent = rt.counter("net.messages");
-      delivered = rt.counter("net.delivered");
-      lost = rt.counter("net.lost");
-      fault = rt.counter("net.dropped.fault");
-      conn = rt.counter("net.dropped.conn");
-    });
-    if (sent != delivered + lost + synthetic_messages)
-      rep.violations.push_back(
-          {"conservation",
-           "net.messages (" + std::to_string(sent) + ") != net.delivered (" +
-               std::to_string(delivered) + ") + net.lost (" +
-               std::to_string(lost) + ") + maintenance charges (" +
-               std::to_string(synthetic_messages) + ")"});
-    // Loss attribution: every lost wire message carries exactly one cause
-    // (injected fault or connection death) — an unattributed loss is an
-    // accounting hole, a double-attributed one an overcount.
-    if (lost != fault + conn)
-      rep.violations.push_back(
-          {"conservation",
-           "net.lost (" + std::to_string(lost) +
-               ") != net.dropped.fault (" + std::to_string(fault) +
-               ") + net.dropped.conn (" + std::to_string(conn) + ")"});
+    // Both ledger identities: conservation (churn repair's synchronous
+    // lookup hops are recorded as charges) and loss attribution — an
+    // unattributed loss is an accounting hole, a double-attributed one an
+    // overcount.
+    std::string err;
+    rt.post_sync(
+        [&] { err = net::ledger::identity_error(rt.transport->metrics()); });
+    if (!err.empty()) rep.violations.push_back({"conservation", err});
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include "dht/chord_network.hpp"
 #include "index/service.hpp"
+#include "net/ledger.hpp"
 #include "obs/windowed.hpp"
 
 namespace hkws::maint {
@@ -165,11 +166,10 @@ TEST(MaintenancePlane, HealsToConvergenceAfterFailure) {
   EXPECT_FALSE(answer->stats.failed);
   t.plane->stop();
   t.clock.run();
-  // With the queue drained, the conservation identity holds once the
-  // plane's synchronous stabilize charges are added back.
-  EXPECT_EQ(t.net->messages_sent(),
-            t.net->messages_delivered() + t.net->messages_lost() +
-                t.plane->synthetic_messages());
+  // With the queue drained, the ledger identities hold: the plane's
+  // synchronous stabilize lookups are recorded as charges.
+  EXPECT_EQ(net::ledger::identity_error(t.net->metrics()), "");
+  EXPECT_GT(t.net->metrics().counter("net.charged"), 0u);
 }
 
 TEST(MaintenancePlane, RepairIsRateLimitedPerTick) {

@@ -206,7 +206,7 @@ TEST(OverlayIndex, QueryCacheServesRepeatsWithFewerContacts) {
 }
 
 TEST(OverlayIndex, ContactCachingCutsRoutingCost) {
-  OverlayNet t(32, {.r = 6, .cache_capacity = 0, .cache_contacts = true});
+  OverlayNet t(32, {.r = 6, .cache_capacity = 0});
   const auto objects = random_objects(60, 10, 24);
   t.publish_all(objects);
   const KeywordSet query({objects.begin()->second.words().front()});

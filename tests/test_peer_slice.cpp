@@ -45,10 +45,10 @@ TcpTransport::Config fast_tcp() {
 class ResultBox {
  public:
   void put(SearchResult r) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      result_ = std::move(r);
-    }
+    // Notify under the lock: the waiter destroys the box as soon as it
+    // returns, so nothing here may touch it after the unlock.
+    std::lock_guard<std::mutex> lock(mu_);
+    result_ = std::move(r);
     cv_.notify_all();
   }
   std::optional<SearchResult> take(std::chrono::milliseconds timeout) {
@@ -68,10 +68,8 @@ class ResultBox {
 class AckLatch {
  public:
   void hit() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++count_;
-    }
+    std::lock_guard<std::mutex> lock(mu_);  // notify under it, as in put()
+    ++count_;
     cv_.notify_all();
   }
   bool wait(std::size_t target, std::chrono::milliseconds timeout) {
@@ -334,6 +332,10 @@ TEST(PeerSlice, SplitOverlaySurvivesSeededUdpLossWithRetransmission) {
   AckLatch acks;
   for (const auto& [o, k] : corpus) a.publish(o, k, [&acks] { acks.hit(); });
   ASSERT_TRUE(acks.wait(corpus.size(), kWait));
+  // Read the slices only once both strands are idle: a duplicate insert
+  // can still be landing after the last ack.
+  ASSERT_TRUE(ta.wait_idle(kWait));
+  ASSERT_TRUE(tb.wait_idle(kWait));
   EXPECT_EQ(a.local_object_count() + b.local_object_count(),
             logical.object_count());
 

@@ -11,13 +11,19 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
+#include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
+#include "net/fault_transport.hpp"
+#include "net/ledger.hpp"
 #include "net/sim_transport.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/transport.hpp"
+#include "net/udp_transport.hpp"
 #include "obs/trace.hpp"
 
 namespace hkws::net {
@@ -362,6 +368,109 @@ TEST(TransportParity, SimAndTcpCountIdentically) {
   for (const std::string& key : keys) {
     EXPECT_EQ(tcp.metrics().counter(key), simnet.metrics().counter(key))
         << key;
+  }
+
+  // Loss script: the same sends with chosen wire messages lost, replayed on
+  // every backend that can lose one. Per the transport.hpp contract,
+  // net.dropped.<kind> counts unregistered sends only and a wire loss
+  // counts net.lost.<kind> plus its cause.
+  struct LossSend {
+    EndpointId from, to;
+    const char* kind;  ///< closure send; nullptr = kws.insert payload
+    bool lose;
+  };
+  const std::vector<LossSend> loss_script = {
+      {1, 2, "kws.t_query", true},  {2, 1, "kws.t_cont", false},
+      {1, 1, "kws.results", false}, {1, 42, "dolr.read", false},
+      {2, 3, "maint.ping", true},   {1, 2, nullptr, true},
+      {3, 2, nullptr, false},       {1, 3, "kws.t_query", false},
+      {3, 1, "kws.t_query", true},
+  };
+  const EntryMsg entry{7, {"loss", "script"}};
+  std::set<std::uint64_t> lost_seqs;  // wire sequence numbers to drop
+  std::uint64_t seq = 0;
+  for (const LossSend& s : loss_script) {
+    if (s.from == s.to || s.to > 3) continue;  // not a wire message
+    if (s.lose) lost_seqs.insert(seq);
+    ++seq;
+  }
+  class DropSeqs final : public sim::FaultModel {
+   public:
+    explicit DropSeqs(std::set<std::uint64_t> seqs) : seqs_(std::move(seqs)) {}
+    sim::FaultActions inspect(EndpointId, EndpointId, const std::string&,
+                              std::uint64_t seq, Rng&) override {
+      sim::FaultActions a;
+      a.drop = seqs_.contains(seq);
+      return a;
+    }
+
+   private:
+    std::set<std::uint64_t> seqs_;
+  };
+  const auto run_loss_script = [&](Transport& t,
+                                   const std::function<void(bool)>& arm) {
+    for (const LossSend& s : loss_script) {
+      arm(s.lose);
+      if (s.kind != nullptr)
+        t.send(s.from, s.to, s.kind, 40, [] {});
+      else
+        t.send_payload(s.from, s.to, MsgKind::kKwsInsert, WireMessage{entry});
+    }
+    arm(false);
+  };
+  const auto no_arm = [](bool) {};
+  const std::vector<std::string> loss_keys = {
+      "net.messages",           "net.bytes",
+      "net.delivered",          "net.lost",
+      "net.lost.kws.t_query",   "net.lost.maint.ping",
+      "net.lost.kws.insert",    "net.lost.kws.t_cont",
+      "net.dropped",            "net.dropped.dolr.read",
+      "net.dropped.kws.t_query", "net.dropped.maint.ping",
+      "net.dropped.kws.insert", "net.dropped.unregistered",
+      "net.dropped.fault",      "net.dropped.conn",
+      "msg.kws.insert",         "msg.kws.t_query"};
+
+  // Reference: the simulator with a fault model.
+  sim::EventQueue ref_clock;
+  sim::Network ref(ref_clock);
+  for (EndpointId id = 1; id <= 3; ++id) ref.register_endpoint(id);
+  ref.set_fault_model(std::make_unique<DropSeqs>(lost_seqs));
+  run_loss_script(ref, no_arm);
+  ref_clock.run();
+  EXPECT_EQ(ref.metrics().counter("net.lost"), 4u);
+  EXPECT_EQ(ledger::identity_error(ref.metrics()), "");
+
+  // FaultTransport over the simulator.
+  sim::EventQueue fs_clock;
+  sim::Network fs_inner(fs_clock);
+  FaultTransport fault_sim(fs_inner, std::make_unique<DropSeqs>(lost_seqs));
+  for (EndpointId id = 1; id <= 3; ++id) fault_sim.register_endpoint(id);
+  fault_sim.arm();
+  run_loss_script(fault_sim, no_arm);
+  fs_clock.run();
+
+  // FaultTransport over TCP, driven from the dispatch strand like protocol
+  // code.
+  TcpTransport ft_inner(fast_config());
+  FaultTransport fault_tcp(ft_inner, std::make_unique<DropSeqs>(lost_seqs));
+  for (EndpointId id = 1; id <= 3; ++id) fault_tcp.register_endpoint(id);
+  fault_tcp.arm();
+  ft_inner.schedule_in(0, [&] { run_loss_script(fault_tcp, no_arm); });
+  ASSERT_TRUE(ft_inner.wait_idle(kIdle));
+
+  // UdpTransport's own drop model, armed for exactly the lost sends.
+  UdpTransport udp(UdpTransport::Config{});
+  for (EndpointId id = 1; id <= 3; ++id) udp.register_endpoint(id);
+  run_loss_script(udp, [&](bool lose) { udp.set_drop_rate(lose ? 1.0 : 0.0); });
+  ASSERT_TRUE(udp.wait_idle(kIdle));
+
+  const std::vector<std::pair<const char*, const Transport*>> lossy = {
+      {"fault/sim", &fault_sim}, {"fault/tcp", &fault_tcp}, {"udp", &udp}};
+  for (const auto& [name, t] : lossy) {
+    EXPECT_EQ(ledger::identity_error(t->metrics()), "") << name;
+    for (const std::string& key : loss_keys)
+      EXPECT_EQ(t->metrics().counter(key), ref.metrics().counter(key))
+          << name << " " << key;
   }
 }
 

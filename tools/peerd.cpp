@@ -46,7 +46,8 @@
 //
 // Shutdown: SIGTERM/SIGINT stop the front-end loop and drain the transport
 // gracefully (drain_and_stop — in-flight protocol work completes before the
-// sockets close); "DRAIN=clean" on stdout confirms nothing was dropped.
+// sockets close); "DRAIN=clean" on stdout confirms nothing was dropped, and
+// "LEDGER=ok" that the process's message ledger identities hold.
 #include <arpa/inet.h>
 #include <csignal>
 #include <netinet/in.h>
@@ -76,6 +77,7 @@
 #include "index/logical_index.hpp"
 #include "index/overlay_index.hpp"
 #include "index/peer_slice.hpp"
+#include "net/ledger.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/udp_transport.hpp"
 #include "net/wire.hpp"
@@ -234,6 +236,19 @@ bool serve_front_end(
 
 // --- serve ------------------------------------------------------------------
 
+// Drains and stops the transport, then prints the two verdicts the launcher
+// asserts: DRAIN=clean (the stop lost nothing) and LEDGER=ok (this
+// process's message ledger identities hold, net/ledger.hpp; otherwise the
+// identity_error text). True if both hold.
+bool drain_and_report(net::SocketTransport& transport) {
+  const bool clean = transport.drain_and_stop(std::chrono::seconds(10));
+  const std::string ledger = net::ledger::identity_error(transport.metrics());
+  std::printf("DRAIN=%s\n", clean ? "clean" : "dirty");
+  std::printf("LEDGER=%s\n", ledger.empty() ? "ok" : ledger.c_str());
+  std::fflush(stdout);
+  return clean && ledger.empty();
+}
+
 int run_serve(const Options& opt) {
   net::TcpTransport transport;
   auto dht = std::make_unique<dht::ChordNetwork>(
@@ -297,12 +312,8 @@ int run_serve(const Options& opt) {
 
   // Graceful shutdown: no new work is being initiated (the accept loop is
   // done), so drain whatever protocol traffic is still in flight before
-  // tearing the runtime down. DRAIN=clean is the launcher's assertion that
-  // the stop lost nothing.
-  const bool clean = transport.drain_and_stop(std::chrono::seconds(10));
-  std::printf("DRAIN=%s\n", clean ? "clean" : "dirty");
-  std::fflush(stdout);
-  return clean ? 0 : 1;
+  // tearing the runtime down.
+  return drain_and_report(transport) ? 0 : 1;
 }
 
 // --- peer (split overlay) ---------------------------------------------------
@@ -501,10 +512,8 @@ int run_peer(const Options& opt) {
   // A lossy mesh never goes fully quiet (retransmits of steps whose acks
   // died with the remote peer); give the drain a bounded window and report
   // honestly.
-  const bool clean = transport->drain_and_stop(std::chrono::seconds(10));
-  std::printf("DRAIN=%s\n", clean ? "clean" : "dirty");
-  std::fflush(stdout);
-  return rc != 0 ? rc : (clean ? 0 : 1);
+  const bool ok = drain_and_report(*transport);
+  return rc != 0 ? rc : (ok ? 0 : 1);
 }
 
 // --- query ------------------------------------------------------------------

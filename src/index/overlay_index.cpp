@@ -183,41 +183,13 @@ void OverlayIndex::deindex(sim::EndpointId from, ObjectId object,
 
 void OverlayIndex::pin_search(sim::EndpointId searcher,
                               const KeywordSet& keywords, SearchCallback done) {
-  if (cfg_.step_timeout != 0 && cfg_.failover_after != 0) {
-    // Loss-guarded pin: route + reply under one retransmission timer, so a
-    // pin aimed at a peer that dies mid-query retries (and the re-route
-    // lands on the surrogate owner) instead of hanging forever.
-    const std::uint64_t id = next_pin_++;
-    auto pin = std::make_unique<PinState>();
-    pin->keywords = keywords;
-    pin->searcher = searcher;
-    pin->done = std::move(done);
-    pins_[id] = std::move(pin);
-    pin_attempt(id);
-    return;
-  }
-  const cube::CubeId u = hasher_.responsible_node(keywords);
-  overlay_.route(
-      searcher, ring_key_of(u), "kws.pin", kCtrlBytes + keywords.size() * 12,
-      [this, u, keywords, searcher, done = std::move(done)](
-          const dht::Overlay::RouteResult& rr) {
-        const sim::EndpointId ep = overlay_.endpoint_of(rr.owner);
-        PeerState& ps = peer_state(ep);
-        std::vector<Hit> hits;
-        if (const auto it = ps.tables.find(u); it != ps.tables.end()) {
-          for (ObjectId o : it->second.exact(keywords))
-            hits.push_back(Hit{o, keywords});
-        }
-        SearchResult result;
-        result.hits = std::move(hits);
-        result.stats.nodes_contacted = 1;
-        result.stats.messages = static_cast<std::size_t>(rr.hops) + 1;
-        result.stats.rounds = 1;
-        result.stats.complete = true;
-        net_.send(ep, searcher, "kws.pin_reply",
-                  result.hits.size() * kHitBytes,
-                  [done, result = std::move(result)] { done(result); });
-      });
+  const std::uint64_t id = next_pin_++;
+  auto pin = std::make_unique<PinState>();
+  pin->keywords = keywords;
+  pin->searcher = searcher;
+  pin->done = std::move(done);
+  pins_[id] = std::move(pin);
+  pin_attempt(id);
 }
 
 OverlayIndex::PinState* OverlayIndex::find_pin(std::uint64_t pin_id) {
@@ -270,6 +242,10 @@ void OverlayIndex::pin_attempt(std::uint64_t pin_id) {
       });
   PinState* p = find_pin(pin_id);
   if (!p) return;  // the route may complete in place
+  // Loss guard: route + reply under one retransmission timer, so a pin
+  // aimed at a peer that dies mid-query retries (and the re-route lands on
+  // the surrogate owner) instead of hanging forever.
+  if (cfg_.step_timeout == 0 || cfg_.failover_after == 0) return;
   p->timer = net_.set_timer(resend_delay(p->attempts), [this, pin_id] {
     PinState* p2 = find_pin(pin_id);
     if (!p2) return;

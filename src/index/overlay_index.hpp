@@ -516,10 +516,10 @@ class OverlayIndex {
     SearchCallback done;
   };
 
-  /// Coordinator state of one loss-guarded pin search (Config::step_timeout
-  /// and Config::failover_after both set). The route + direct reply are
-  /// guarded by one timer; a timeout re-routes from scratch, which lands on
-  /// the surrogate owner if the original peer died mid-query.
+  /// Coordinator state of one pin search. With Config::step_timeout and
+  /// Config::failover_after both set, the route + direct reply are guarded
+  /// by one timer; a timeout re-routes from scratch, which lands on the
+  /// surrogate owner if the original peer died mid-query.
   struct PinState {
     KeywordSet keywords;
     sim::EndpointId searcher = 0;
@@ -530,7 +530,7 @@ class OverlayIndex {
   };
 
   PinState* find_pin(std::uint64_t pin_id);
-  /// Sends (or resends) the guarded pin query and arms its timer.
+  /// Sends (or resends) the pin query and arms its timer, if guarded.
   void pin_attempt(std::uint64_t pin_id);
 
   CumulativeState* find_session(std::uint64_t id);

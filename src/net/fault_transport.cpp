@@ -11,20 +11,13 @@ FaultTransport::FaultTransport(Transport& inner,
                                std::uint64_t seed)
     : inner_(inner), model_(std::move(model)), rng_(seed) {}
 
-void FaultTransport::arm() {
-  std::lock_guard<std::mutex> lk(mu_);
-  armed_ = true;
-}
+void FaultTransport::arm() { armed_ = true; }
 
 void FaultTransport::set_fault_model(std::unique_ptr<sim::FaultModel> model) {
-  std::lock_guard<std::mutex> lk(mu_);
   model_ = std::move(model);
 }
 
-std::uint64_t FaultTransport::wire_seq() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return seq_;
-}
+std::uint64_t FaultTransport::wire_seq() const { return seq_; }
 
 void FaultTransport::register_endpoint(EndpointId id) {
   inner_.register_endpoint(id);
@@ -90,40 +83,29 @@ void FaultTransport::apply_faults(EndpointId from, EndpointId to,
                                   const std::string& kind, std::size_t bytes,
                                   Handler forward) {
   sim::FaultActions fault;
-  SendObserver observer;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (armed_) {
-      if (model_ != nullptr)
-        fault = model_->inspect(from, to, kind, seq_, rng_);
-      ++seq_;
-    }
-    if (fault.drop) observer = observer_;
+  if (armed_) {
+    if (model_ != nullptr) fault = model_->inspect(from, to, kind, seq_, rng_);
+    ++seq_;
   }
+  sim::Metrics& m = inner_.metrics();
   if (fault.drop) {
     // The inner transport never sees a dropped message, so the decorator
     // records its whole fate: sent (the protocol paid for it) and lost to
     // fault injection. The observer sees lost = true so traces stay
     // truthful.
-    inner_.record([&](sim::Metrics& m) {
-      ledger::sent(m, kind, bytes);
-      ledger::lost(m, kind, ledger::Cause::kFault);
-    });
-    if (observer) {
+    ledger::sent(m, kind, bytes);
+    ledger::lost(m, kind, ledger::Cause::kFault);
+    if (observer_) {
       const Time at = inner_.now();
-      observer(kind, SendRecord{at, from, to, bytes, true, at});
+      observer_(kind, SendRecord{at, from, to, bytes, true, at});
     }
     return;
   }
 
   // Each copy is a full inner send, which records its own fate.
   const std::uint32_t copies = 1 + fault.duplicates;
-  if (fault.duplicates != 0 || fault.extra_delay != 0) {
-    inner_.record([&](sim::Metrics& m) {
-      if (fault.duplicates != 0) ledger::dup(m, fault.duplicates);
-      if (fault.extra_delay != 0) ledger::delayed(m);
-    });
-  }
+  if (fault.duplicates != 0) ledger::dup(m, fault.duplicates);
+  if (fault.extra_delay != 0) ledger::delayed(m);
   auto send_copies = [forward = std::move(forward), copies] {
     for (std::uint32_t i = 0; i < copies; ++i) forward();
   };
@@ -153,19 +135,12 @@ bool FaultTransport::cancel_timer(TimerId id) {
 
 sim::Metrics& FaultTransport::metrics() { return inner_.metrics(); }
 
-void FaultTransport::record(const std::function<void(sim::Metrics&)>& fn) {
-  inner_.record(fn);
-}
-
 const sim::Metrics& FaultTransport::metrics() const {
   return inner_.metrics();
 }
 
 void FaultTransport::set_send_observer(SendObserver fn) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    observer_ = fn;
-  }
+  observer_ = fn;
   inner_.set_send_observer(std::move(fn));
 }
 

@@ -31,14 +31,15 @@
 // torture harness builds the overlay first and arms afterwards, so seq 0
 // is the first workload message on both backends.
 //
-// Threading: the decorator's own state (model, rng, seq counter) is guarded
-// by a mutex, so sends may arrive from any thread the inner transport
-// allows. Ledger records go through the inner transport's record(), which
-// serializes them with the backend's own.
+// Threading: like all protocol code, the decorator is driven from the
+// inner transport's single thread — the simulator's event loop, or a
+// socket runtime's dispatch strand, where other threads post their work.
+// Its own state (model, rng, seq counter) and the ledger records it writes
+// straight into inner.metrics() therefore need no lock. Set it up (arm(),
+// set_fault_model(), observers) before traffic starts.
 #pragma once
 
 #include <memory>
-#include <mutex>
 
 #include "common/rng.hpp"
 #include "net/transport.hpp"
@@ -91,7 +92,6 @@ class FaultTransport final : public Transport {
 
   sim::Metrics& metrics() override;
   const sim::Metrics& metrics() const override;
-  void record(const std::function<void(sim::Metrics&)>& fn) override;
 
   void set_send_observer(SendObserver fn) override;
 
@@ -103,7 +103,6 @@ class FaultTransport final : public Transport {
                     std::size_t bytes, Handler forward);
 
   Transport& inner_;
-  mutable std::mutex mu_;
   std::unique_ptr<sim::FaultModel> model_;
   Rng rng_;
   std::uint64_t seq_ = 0;

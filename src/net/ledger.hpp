@@ -10,8 +10,9 @@
 //   net.messages == net.delivered + net.lost + net.charged  (conservation)
 //   net.lost == net.dropped.fault + net.dropped.conn        (attribution)
 //
-// No locking here: a caller whose registry is shared between threads holds
-// its own lock (see Transport::record).
+// No locking here: every registry has a single writer, the thread that
+// owns its transport (the sim's event loop or a socket runtime's dispatch
+// strand; see the threading rule in net/transport.hpp).
 #pragma once
 
 #include <cstddef>

@@ -2,11 +2,19 @@
 
 #include <arpa/inet.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "net/ledger.hpp"
 
 namespace hkws::net {
+
+namespace {
+
+/// The transport whose dispatch strand is the current thread, if any.
+thread_local const SocketTransport* t_strand_of = nullptr;
+
+}  // namespace
 
 SocketTransport::SocketTransport(CommonConfig common)
     : common_(common), start_(Clock::now()) {}
@@ -80,13 +88,6 @@ bool SocketTransport::has_peer_address(EndpointId id) const {
   return addrs_.find(id) != addrs_.end();
 }
 
-void SocketTransport::set_payload_handler(PayloadHandler fn) {
-  // Under metrics_mu_, which on_envelope() holds when it reads the handler:
-  // that orders this write before the io and dispatch threads' reads.
-  std::lock_guard<std::mutex> lk(metrics_mu_);
-  payload_handler_ = std::move(fn);
-}
-
 bool SocketTransport::lookup_addr(EndpointId id, sockaddr_in* out) const {
   std::shared_lock<std::shared_mutex> lk(addrs_mu_);
   const auto it = addrs_.find(id);
@@ -95,22 +96,46 @@ bool SocketTransport::lookup_addr(EndpointId id, sockaddr_in* out) const {
   return true;
 }
 
+// --- The strand's ownership -------------------------------------------------
+
+bool SocketTransport::owns_state() const {
+  return t_strand_of == this || torn_down_.load(std::memory_order_acquire);
+}
+
+void SocketTransport::run_posted(const Handler& call) {
+  bool done = false;
+  {
+    std::unique_lock<std::mutex> lk(strand_mu_);
+    if (!stopping_) {
+      ++inflight_;
+      ready_.push_back(Ready{[&call] { call(); }, 0, &done});
+      strand_cv_.notify_one();
+    }
+    idle_cv_.wait(lk, [&] {
+      return done || torn_down_.load(std::memory_order_relaxed);
+    });
+  }
+  // The runtime stopped before the strand got to the call: stop() has torn
+  // it down, so this thread now acts directly.
+  if (!done) call();
+}
+
 // --- Send (parked-handler mode) ---------------------------------------------
 
 void SocketTransport::send(EndpointId from, EndpointId to, std::string kind,
                            std::size_t payload_bytes, Handler deliver) {
+  if (post_to_strand([&] {
+        send(from, to, std::move(kind), payload_bytes, std::move(deliver));
+      }))
+    return;
   if (from == to) {
     // Local call: no wire traffic, async delivery — the simulator's
     // contract, preserved so protocol code behaves identically.
-    {
-      std::lock_guard<std::mutex> lk(metrics_mu_);
-      ledger::local(metrics_);
-    }
-    enqueue_ready(Ready{std::move(deliver), false, {}});
+    ledger::local(metrics_);
+    enqueue_ready(Ready{std::move(deliver)});
     return;
   }
   if (!is_registered(to)) {
-    std::lock_guard<std::mutex> lk(metrics_mu_);
     ledger::unregistered(metrics_, kind);
     return;
   }
@@ -119,7 +144,7 @@ void SocketTransport::send(EndpointId from, EndpointId to, std::string kind,
   const std::optional<MsgKind> known = kind_of(kind);
   env.inner_kind = known.value_or(MsgKind::kOpaque);
   if (!known.has_value()) env.label = kind;
-  const std::uint64_t msg_id = next_msg_id();
+  const std::uint64_t msg_id = next_msg_++;
   env.msg_id = msg_id;
   env.from = from;
   env.to = to;
@@ -129,44 +154,29 @@ void SocketTransport::send(EndpointId from, EndpointId to, std::string kind,
   const std::vector<std::uint8_t> frame =
       encode_frame(MsgKind::kEnvelope, WireMessage{env});
 
-  // Record the send, take the in-flight slot, then park the handler: every
-  // path that later takes the entry out (redemption, sweep, send error,
-  // stop) finds both already in place. The io thread redeems the handler by
-  // message id when the envelope comes back off the socket; the deadline
-  // bounds how long a frame the wire swallowed can hold its slot.
-  {
-    std::lock_guard<std::mutex> lk(metrics_mu_);
-    ledger::sent(metrics_, kind, payload_bytes, frame.size());
-  }
-  {
-    std::lock_guard<std::mutex> lk(strand_mu_);
-    ++inflight_;
-  }
-  {
-    std::lock_guard<std::mutex> lk(handlers_mu_);
-    parked_.emplace(msg_id, ParkedEntry{std::move(deliver), kind,
-                                        Clock::now() + common_.parked_ttl});
-  }
-
+  ledger::sent(metrics_, kind, payload_bytes, frame.size());
   const WireLoss loss = wire_send(frame, nullptr);
   if (loss) {
-    // The wire swallowed the frame (connection death, stop() racing a late
-    // send, or the backend's drop model): the message is lost, not
-    // delivered — unless the sweep or stop() already took the entry and
-    // recorded that. A dead connection is additionally a positive liveness
-    // signal the failure detector can act on immediately.
-    bool ours;
-    {
-      std::lock_guard<std::mutex> lk(handlers_mu_);
-      ours = parked_.erase(msg_id) == 1;
-    }
-    if (ours) settle_lost(kind, *loss);
+    // The wire swallowed the frame (connection death, a send after stop(),
+    // or the backend's drop model). A dead connection is additionally a
+    // positive liveness signal the failure detector can act on immediately.
+    ledger::lost(metrics_, kind, *loss);
     if (*loss == ledger::Cause::kConn) report_peer_down(to);
+  } else {
+    // Park the handler until the strand sees the envelope come back (it
+    // cannot before this returns: redemption runs on this thread). The
+    // deadline bounds how long a frame the wire swallowed holds its slot.
+    {
+      std::lock_guard<std::mutex> lk(strand_mu_);
+      ++inflight_;
+    }
+    parked_.emplace_hint(parked_.end(), msg_id,
+                         ParkedEntry{std::move(deliver), kind,
+                                     Clock::now() + common_.parked_ttl});
   }
   // Observe after the wire has decided the frame's fate, so SendRecord.lost
   // is truthful — a frame the connection swallowed is never reported
   // delivered.
-  std::lock_guard<std::mutex> lk(metrics_mu_);
   if (observer_) {
     const Time at = now();
     observer_(kind, SendRecord{at, from, to, payload_bytes, loss.has_value(),
@@ -178,6 +188,7 @@ void SocketTransport::send(EndpointId from, EndpointId to, std::string kind,
 
 void SocketTransport::send_payload(EndpointId from, EndpointId to,
                                    MsgKind kind, const WireMessage& msg) {
+  if (post_to_strand([&] { send_payload(from, to, kind, msg); })) return;
   sockaddr_in remote;
   if (!lookup_addr(to, &remote)) {
     // No address: the endpoint is local — loop the encoded frame through
@@ -192,7 +203,7 @@ void SocketTransport::send_payload(EndpointId from, EndpointId to,
 
   EnvelopeMsg env;
   env.inner_kind = kind;
-  env.msg_id = next_msg_id();
+  env.msg_id = next_msg_++;
   env.from = from;
   env.to = to;
   env.declared_bytes = declared;
@@ -205,41 +216,18 @@ void SocketTransport::send_payload(EndpointId from, EndpointId to,
   // A cross-process message closes at the sender as soon as the wire has
   // accepted or refused the frame (the receiver records only remote_in),
   // so the whole fate is recorded at once.
-  {
-    std::lock_guard<std::mutex> lk(metrics_mu_);
-    ledger::sent(metrics_, kind_label, declared, frame.size());
-    ledger::remote_out(metrics_);
-    if (loss)
-      ledger::lost(metrics_, kind_label, *loss);
-    else
-      ledger::delivered(metrics_);
-    if (observer_) {
-      const Time at = now();
-      observer_(kind_label,
-                SendRecord{at, from, to, declared, loss.has_value(), at});
-    }
+  ledger::sent(metrics_, kind_label, declared, frame.size());
+  ledger::remote_out(metrics_);
+  if (loss)
+    ledger::lost(metrics_, kind_label, *loss);
+  else
+    ledger::delivered(metrics_);
+  if (observer_) {
+    const Time at = now();
+    observer_(kind_label,
+              SendRecord{at, from, to, declared, loss.has_value(), at});
   }
   if (loss == ledger::Cause::kConn) report_peer_down(to);
-}
-
-std::uint64_t SocketTransport::next_msg_id() {
-  std::lock_guard<std::mutex> lk(handlers_mu_);
-  return next_msg_++;
-}
-
-void SocketTransport::settle_lost(const std::string& kind,
-                                  ledger::Cause why) {
-  // Fate first, slot second: a wait_idle() caller that sees the slot free
-  // (under strand_mu_) also sees the loss.
-  {
-    std::lock_guard<std::mutex> lk(metrics_mu_);
-    ledger::lost(metrics_, kind, why);
-  }
-  {
-    std::lock_guard<std::mutex> lk(strand_mu_);
-    --inflight_;
-  }
-  idle_cv_.notify_all();
 }
 
 void SocketTransport::report_peer_down(EndpointId to) {
@@ -250,36 +238,25 @@ void SocketTransport::report_peer_down(EndpointId to) {
     if (down_reported_[to]) return;
     down_reported_[to] = true;
   }
-  PeerDownObserver cb;
-  {
-    std::lock_guard<std::mutex> lk(metrics_mu_);
-    cb = peer_down_;
-  }
-  if (!cb) return;
-  // Marshal onto the dispatch strand: the consumer is protocol code
-  // (FailureDetector) that must only ever run strand-serialized.
-  schedule_in(0, [cb = std::move(cb), to] { cb(to); });
+  if (!peer_down_) return;
+  // A later strand turn, not a call from inside send(): the consumer is
+  // protocol code (FailureDetector) that must not run re-entrantly.
+  schedule_in(0, [cb = peer_down_, to] { cb(to); });
 }
 
 void SocketTransport::enqueue_ready(Ready r) {
-  bool queued = false;
   {
     std::lock_guard<std::mutex> lk(strand_mu_);
-    if (!stopping_) {
-      if (!r.wire) ++inflight_;  // wire sends took their slot in send()
-      ready_.push_back(std::move(r));
-      queued = true;
-    }
+    if (stopping_) return;  // the strand will never run it
+    ++inflight_;
+    ready_.push_back(std::move(r));
   }
-  if (queued)
-    strand_cv_.notify_one();
-  else if (r.wire)  // stopping: the handler will never run
-    settle_lost(r.kind, ledger::Cause::kConn);
+  strand_cv_.notify_one();
 }
 
-// --- Inbound envelopes (io threads) -----------------------------------------
+// --- Inbound envelopes ------------------------------------------------------
 
-void SocketTransport::on_envelope(const EnvelopeMsg& env) {
+void SocketTransport::on_envelope(EnvelopeMsg&& env) {
   // Test/fault hook: discard the next N inbound envelopes as if the frames
   // had died on the read side of the wire.
   std::uint64_t budget = drop_inbound_.load(std::memory_order_relaxed);
@@ -289,103 +266,104 @@ void SocketTransport::on_envelope(const EnvelopeMsg& env) {
   }
   if (budget > 0) return;
 
-  if (!env.payload.empty()) {
-    // Cross-process payload: decode the inner frame and dispatch it to the
-    // payload handler on the strand. The sender's process recorded its
-    // fate; here it is remote traffic in.
-    std::optional<DecodedFrame> inner =
-        decode_frame(env.payload.data(), env.payload.size());
-    if (!inner.has_value() || inner->kind != env.inner_kind) {
-      note_decode_error();
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lk(metrics_mu_);
-      if (!payload_handler_) {
-        ledger::stray(metrics_);
-        return;
-      }
-      ledger::remote_in(metrics_, kind_name(inner->kind));
-    }
-    enqueue_ready(Ready{
-        [this, from = env.from, to = env.to, kind = inner->kind,
-         msg = std::move(inner->msg)] { payload_handler_(from, to, kind, msg); },
-        false, {}});
+  if (env.payload.empty()) {
+    enqueue_ready(Ready{{}, env.msg_id});
     return;
   }
-
-  ParkedEntry e;
-  {
-    std::lock_guard<std::mutex> lk(handlers_mu_);
-    const auto it = parked_.find(env.msg_id);
-    if (it == parked_.end()) {
-      // Unknown message id: a duplicate or stray frame. Count and drop.
-      std::lock_guard<std::mutex> mlk(metrics_mu_);
+  // Cross-process payload: decode the inner frame here, dispatch it to the
+  // payload handler on the strand. The sender's process recorded its fate;
+  // here it is remote traffic in.
+  std::optional<DecodedFrame> inner =
+      decode_frame(env.payload.data(), env.payload.size());
+  if (!inner.has_value() || inner->kind != env.inner_kind) {
+    note_decode_error();
+    return;
+  }
+  enqueue_ready(Ready{[this, from = env.from, to = env.to, kind = inner->kind,
+                       msg = std::move(inner->msg)] {
+    if (!payload_handler_) {
       ledger::stray(metrics_);
       return;
     }
-    e = std::move(it->second);
-    parked_.erase(it);
+    ledger::remote_in(metrics_, kind_name(kind));
+    payload_handler_(from, to, kind, msg);
+  }});
+}
+
+std::uint64_t SocketTransport::redeem(std::uint64_t msg_id) {
+  auto node = parked_.extract(msg_id);
+  if (node.empty()) {
+    // Unknown message id: a duplicate or stray frame, or one the sweep
+    // already recorded lost. Count and drop.
+    ledger::stray(metrics_);
+    return 0;
   }
-  enqueue_ready(Ready{std::move(e.fn), true, std::move(e.kind)});
+  ledger::delivered(metrics_);
+  node.mapped().fn();
+  return 1;
 }
 
 void SocketTransport::sweep_parked(Clock::time_point cutoff) {
-  std::vector<ParkedEntry> dead;
-  {
-    std::lock_guard<std::mutex> lk(handlers_mu_);
-    for (auto it = parked_.begin(); it != parked_.end();) {
-      if (it->second.deadline <= cutoff) {
-        dead.push_back(std::move(it->second));
-        it = parked_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
   // The envelope never came back: the frame died on the wire. Attribute
   // like any other connection loss — but no peer-down report; a lost frame
   // is packet death, not positive evidence the destination process died.
-  for (const ParkedEntry& e : dead) settle_lost(e.kind, ledger::Cause::kConn);
+  std::uint64_t n = 0;
+  while (!parked_.empty() && parked_.begin()->second.deadline <= cutoff) {
+    ledger::lost(metrics_, parked_.begin()->second.kind,
+                 ledger::Cause::kConn);
+    parked_.erase(parked_.begin());
+    ++n;
+  }
+  if (n == 0) return;
+  {
+    std::lock_guard<std::mutex> lk(strand_mu_);
+    inflight_ -= n;
+  }
+  idle_cv_.notify_all();
 }
 
-void SocketTransport::abandon_inflight() {
+void SocketTransport::finish_stop() {
   sweep_parked(Clock::time_point::max());
   std::deque<Ready> ready;
   {
     std::lock_guard<std::mutex> lk(strand_mu_);
     ready.swap(ready_);
+    inflight_ -= ready.size();
+    torn_down_.store(true, std::memory_order_release);
   }
-  // The handlers are destroyed here, outside every lock.
-  for (const Ready& r : ready)
-    if (r.wire) settle_lost(r.kind, ledger::Cause::kConn);
-}
-
-void SocketTransport::note_decode_error() {
-  std::lock_guard<std::mutex> lk(metrics_mu_);
-  ++decode_errors_;
+  idle_cv_.notify_all();
+  // Queued handlers are destroyed here, outside every lock. A returned
+  // envelope among them was still parked, so the sweep above recorded it.
 }
 
 // --- Dispatch strand --------------------------------------------------------
 
 void SocketTransport::dispatch_loop() {
+  t_strand_of = this;
   std::unique_lock<std::mutex> lk(strand_mu_);
-  while (true) {
-    if (stopping_) break;
-    const Clock::time_point now_tp = Clock::now();
-
+  while (!stopping_) {
     if (!ready_.empty()) {
       Ready r = std::move(ready_.front());
       ready_.pop_front();
       lk.unlock();
-      if (r.wire) {
-        std::lock_guard<std::mutex> mlk(metrics_mu_);
-        ledger::delivered(metrics_);
-      }
-      r.fn();
+      std::uint64_t released = 1;  // the entry's own slot
+      if (r.fn)
+        r.fn();
+      else
+        released += redeem(r.msg_id);
       lk.lock();
-      --inflight_;
+      inflight_ -= released;
+      if (r.done != nullptr) *r.done = true;
       idle_cv_.notify_all();
+      continue;
+    }
+    const Clock::time_point now_tp = Clock::now();
+    // parked_ belongs to this thread; strand_mu_ is held only for the
+    // queues around it.
+    if (!parked_.empty() && parked_.begin()->second.deadline <= now_tp) {
+      lk.unlock();
+      sweep_parked(now_tp);
+      lk.lock();
       continue;
     }
     if (!schedule_.empty() && schedule_.begin()->first.first <= now_tp) {
@@ -401,14 +379,17 @@ void SocketTransport::dispatch_loop() {
       idle_cv_.notify_all();
       continue;
     }
-    if (!schedule_.empty()) {
-      // Copy the deadline out of the map node: cancel_timer may erase that
-      // node (freeing the key) while this thread is blocked on it.
-      const Clock::time_point deadline = schedule_.begin()->first.first;
-      strand_cv_.wait_until(lk, deadline);
-    } else {
+    // Sleep until the next timer or parked deadline, whichever is first.
+    // (Copy the deadline out of the map node: cancel_timer may erase that
+    // node while this thread is blocked.)
+    Clock::time_point wake = Clock::time_point::max();
+    if (!schedule_.empty()) wake = schedule_.begin()->first.first;
+    if (!parked_.empty())
+      wake = std::min(wake, parked_.begin()->second.deadline);
+    if (wake == Clock::time_point::max())
       strand_cv_.wait(lk);
-    }
+    else
+      strand_cv_.wait_until(lk, wake);
   }
 }
 
@@ -455,18 +436,18 @@ bool SocketTransport::cancel_timer(TimerId id) {
 
 // --- Accounting / control ---------------------------------------------------
 
-void SocketTransport::record(const std::function<void(sim::Metrics&)>& fn) {
-  std::lock_guard<std::mutex> lk(metrics_mu_);
-  fn(metrics_);
+void SocketTransport::set_payload_handler(PayloadHandler fn) {
+  if (post_to_strand([&] { set_payload_handler(std::move(fn)); })) return;
+  payload_handler_ = std::move(fn);
 }
 
 void SocketTransport::set_send_observer(SendObserver fn) {
-  std::lock_guard<std::mutex> lk(metrics_mu_);
+  if (post_to_strand([&] { set_send_observer(std::move(fn)); })) return;
   observer_ = std::move(fn);
 }
 
 void SocketTransport::set_peer_down_observer(PeerDownObserver fn) {
-  std::lock_guard<std::mutex> lk(metrics_mu_);
+  if (post_to_strand([&] { set_peer_down_observer(std::move(fn)); })) return;
   peer_down_ = std::move(fn);
 }
 
@@ -487,11 +468,6 @@ bool SocketTransport::wait_idle(std::chrono::milliseconds timeout) {
     return stopping_ ||
            (inflight_ == 0 && ready_.empty() && pending_events_ == 0);
   });
-}
-
-std::uint64_t SocketTransport::decode_errors() const {
-  std::lock_guard<std::mutex> lk(metrics_mu_);
-  return decode_errors_;
 }
 
 void SocketTransport::drop_inbound(std::uint64_t n) {

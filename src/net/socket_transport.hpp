@@ -1,14 +1,23 @@
 // Shared machinery of the socket Transport backends (TcpTransport,
 // UdpTransport): everything between the Transport interface and the actual
-// sockets lives here, so both backends carry identical semantics —
+// sockets lives here, so both backends carry identical semantics.
 //
-//   * the dispatch strand: one thread executing delivered handlers and due
-//     timers serialized, the simulator's single-event-loop discipline;
+// Threading: one rule. After set-up, only the dispatch strand mutates the
+// runtime's state — the Metrics registry, the parked-handler table,
+// message ids, the observer / payload / peer-down slots and the outbound
+// sockets. A send or setter called from any other thread is posted to the
+// strand, which runs it while the caller waits; once stop() has returned,
+// calls act directly on the calling thread. The io thread only reads and
+// decodes frames and hands each envelope to the strand.
+//
+//   * the dispatch strand: one thread executing delivered handlers, due
+//     timers and posted calls serialized, the simulator's single-event-
+//     loop discipline;
 //   * the parked-handler table: closure-based send() parks the delivery
 //     handler, ships an addressed envelope through the backend's wire, and
-//     redeems the handler by message id when the envelope returns. Entries
-//     carry a deadline; a periodic sweep (driven from the backend's io
-//     loop) releases entries whose envelope died on the wire as lost, so a
+//     the strand redeems the handler by message id when the envelope
+//     returns. Entries carry a deadline; the strand wakes at the oldest one
+//     and records entries whose envelope died on the wire as lost, so a
 //     read-side frame death can never leak an in-flight slot and wedge
 //     drain_and_stop();
 //   * the peer-address table: endpoints owned by other processes, mapped
@@ -19,14 +28,12 @@
 //   * accounting: every fate goes through net/ledger.hpp, so each
 //     process's ledger identities hold over the traffic it originated. A
 //     wire message's fate is recorded before its in-flight slot is
-//     released, by whichever path takes its parked entry out (redemption,
-//     sweep, send error, stop), so wait_idle() never returns on an open
-//     identity.
+//     released, so wait_idle() never returns on an open identity.
 //
-// Backends implement the wire: wire_send() writes one encoded envelope
-// frame either to the loopback self-wire (remote == nullptr) or to a
-// remote process's address, and their io threads feed received envelopes
-// back through on_envelope() and call sweep_parked() periodically.
+// Backends implement the wire: wire_send() (called on the strand) writes
+// one encoded envelope frame either to the loopback self-wire (remote ==
+// nullptr) or to a remote process's address, and their io threads feed
+// received envelopes back through on_envelope().
 #pragma once
 
 #include <netinet/in.h>
@@ -95,9 +102,10 @@ class SocketTransport : public Transport {
   TimerId set_timer(Time delay, Handler fn) override;
   bool cancel_timer(TimerId id) override;
 
+  /// Written only by the strand; read it from another thread after
+  /// wait_idle() (or from a handler posted to the strand).
   sim::Metrics& metrics() override { return metrics_; }
   const sim::Metrics& metrics() const override { return metrics_; }
-  void record(const std::function<void(sim::Metrics&)>& fn) override;
   void set_send_observer(SendObserver fn) override;
 
   // --- Runtime control ----------------------------------------------------
@@ -135,7 +143,9 @@ class SocketTransport : public Transport {
 
   /// Wire frames that failed envelope (or inner payload) decode — 0 in a
   /// healthy runtime.
-  std::uint64_t decode_errors() const;
+  std::uint64_t decode_errors() const {
+    return decode_errors_.load(std::memory_order_relaxed);
+  }
 
   /// Test/fault hook: the io thread silently discards the next `n` inbound
   /// envelopes, exactly as if the frames had died on the read side of the
@@ -153,9 +163,9 @@ class SocketTransport : public Transport {
   /// backend's drop model discarded the frame.
   using WireLoss = std::optional<ledger::Cause>;
 
-  /// Writes one encoded envelope frame. `remote` is nullptr for the
-  /// loopback self-wire (parked-handler mode) or the owning process's
-  /// address for cross-process payload frames.
+  /// Writes one encoded envelope frame; runs on the strand. `remote` is
+  /// nullptr for the loopback self-wire (parked-handler mode) or the owning
+  /// process's address for cross-process payload frames.
   virtual WireLoss wire_send(const std::vector<std::uint8_t>& frame,
                              const sockaddr_in* remote) = 0;
 
@@ -168,27 +178,36 @@ class SocketTransport : public Transport {
   void join_dispatch();
   bool stopping() const { return halted_.load(std::memory_order_acquire); }
 
-  /// Inbound envelope from the backend's io thread: redeems a parked
-  /// handler (empty payload) or decodes + dispatches a cross-process
-  /// payload message (non-empty payload).
-  void on_envelope(const EnvelopeMsg& env);
+  /// Records every message still in flight lost (net.dropped.conn): the
+  /// runtime stopped under it. Then hands the runtime's state to whichever
+  /// thread calls next. Backends call this last in stop(), once their io
+  /// thread has joined.
+  void finish_stop();
 
-  /// Records parked entries whose deadline is at or before `cutoff` lost
-  /// to the wire. Backends call this from their io loop (each poll
-  /// timeout tick).
-  void sweep_parked(Clock::time_point cutoff = Clock::now());
+  /// The one door from other threads onto strand-owned state: if the
+  /// calling thread owns that state (it is the strand, or stop() has
+  /// finished) returns false and the caller acts itself; otherwise runs
+  /// `call` on the strand, waits for it, and returns true.
+  template <class Call>
+  bool post_to_strand(Call&& call) {
+    if (owns_state()) return false;
+    run_posted([&call] { call(); });
+    return true;
+  }
 
-  /// Records every message still in flight — parked, or redeemed but not
-  /// yet run — as lost (net.dropped.conn): the runtime stopped under it.
-  /// Backends call this from stop() once their io thread has joined.
-  void abandon_inflight();
+  /// Inbound envelope, from the backend's io thread: hands it to the
+  /// strand, which redeems the parked handler (empty payload) or
+  /// dispatches the decoded cross-process payload message.
+  void on_envelope(EnvelopeMsg&& env);
 
   /// Looks up `id` in the peer-address table. False if it has no address
   /// (the endpoint is local or unknown).
   bool lookup_addr(EndpointId id, sockaddr_in* out) const;
 
   /// Counts one failed envelope/payload decode (decode_errors()).
-  void note_decode_error();
+  void note_decode_error() {
+    decode_errors_.fetch_add(1, std::memory_order_relaxed);
+  }
 
  private:
   /// A parked delivery handler waiting for its envelope to return.
@@ -207,41 +226,56 @@ class SocketTransport : public Transport {
     Handler fn;
   };
 
-  /// A handler queued for the strand. A `wire` entry is a parked message
-  /// whose envelope came back: it records delivered when it runs, or lost
-  /// if the runtime stops first. Other entries (local sends, remote
-  /// payloads) take an in-flight slot when queued.
+  /// Work queued for the strand; each entry holds one in-flight slot until
+  /// it has run. `fn` is a local send, a remote payload or a posted call;
+  /// when it is empty, the envelope of parked message `msg_id` came back.
   struct Ready {
     Handler fn;
-    bool wire = false;
-    std::string kind;  ///< wire entries only, for loss attribution
+    std::uint64_t msg_id = 0;
+    bool* done = nullptr;  ///< posted call: set once it has run
   };
 
+  bool owns_state() const;
+  void run_posted(const Handler& call);
   void dispatch_loop();
   void enqueue_ready(Ready r);
+  /// Runs the handler parked under `msg_id` (or records a stray); returns
+  /// the number of parked slots that released.
+  std::uint64_t redeem(std::uint64_t msg_id);
+  /// Records parked entries whose deadline is at or before `cutoff` lost
+  /// to the wire.
+  void sweep_parked(Clock::time_point cutoff);
   void report_peer_down(EndpointId to);
-  std::uint64_t next_msg_id();
-  /// Records one in-flight wire message lost, then releases its slot.
-  void settle_lost(const std::string& kind, ledger::Cause why);
 
   CommonConfig common_;
   Clock::time_point start_;
 
-  // Registered endpoints: reader-writer lock, sends read, membership
-  // writes.
+  // Registered endpoints. The lock is for set-up and test threads, which
+  // register endpoints while the strand reads membership on every send.
   mutable std::shared_mutex peers_mu_;
   std::unordered_set<EndpointId> registered_;
+  // Endpoints already reported down (avoids a storm of peer-down callbacks
+  // when many frames hit the same dead connection); register_endpoint
+  // resets an entry, so it shares peers_mu_.
+  std::unordered_map<EndpointId, bool> down_reported_;
 
-  // Endpoints owned by other processes, keyed to their socket address.
+  // Endpoints owned by other processes, keyed to their socket address. The
+  // lock is for the threads that fill the table (peerd's main thread,
+  // tests) while the strand routes payload sends through it.
   mutable std::shared_mutex addrs_mu_;
   std::unordered_map<EndpointId, sockaddr_in> addrs_;
 
-  // Parked delivery handlers keyed by envelope message id.
-  std::mutex handlers_mu_;
-  std::unordered_map<std::uint64_t, ParkedEntry> parked_;
+  // Strand-owned state. Parked handlers are ordered by message id, which
+  // is also deadline order, so the oldest deadline is parked_.begin().
+  std::map<std::uint64_t, ParkedEntry> parked_;
   std::uint64_t next_msg_ = 1;
+  sim::Metrics metrics_;
+  SendObserver observer_;
+  PeerDownObserver peer_down_;
 
-  // Dispatch strand state.
+  // The strand's queues. The lock is for every thread that feeds them:
+  // the io thread (returned envelopes), timer and schedule_in callers, and
+  // wait_idle() / posted-call waiters.
   mutable std::mutex strand_mu_;
   std::condition_variable strand_cv_;
   std::condition_variable idle_cv_;
@@ -251,22 +285,14 @@ class SocketTransport : public Transport {
   std::uint64_t pending_events_ = 0;  ///< schedule_ entries with id == 0
   std::uint64_t next_timer_ = 1;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t inflight_ = 0;  ///< sent-not-yet-executed messages
+  /// Parked wire messages plus queued or running ready_ entries.
+  std::uint64_t inflight_ = 0;
   bool stopping_ = false;
   std::atomic<bool> halted_{false};  ///< lock-free mirror of stopping_
+  /// Set by finish_stop(): calls from any thread now act directly.
+  std::atomic<bool> torn_down_{false};
 
-  // Accounting (metrics_mu_ also serializes the observer, matching the
-  // sim's synchronous-from-send() contract).
-  mutable std::mutex metrics_mu_;
-  sim::Metrics metrics_;
-  SendObserver observer_;
-  PeerDownObserver peer_down_;
-  std::uint64_t decode_errors_ = 0;
-
-  // Endpoints already reported down (avoids a storm of peer-down callbacks
-  // when many frames hit the same dead connection). Guarded by peers_mu_.
-  std::unordered_map<EndpointId, bool> down_reported_;
-
+  std::atomic<std::uint64_t> decode_errors_{0};
   std::atomic<std::uint64_t> drop_inbound_{0};
 
   std::thread dispatch_thread_;

@@ -42,8 +42,6 @@ TcpTransport::TcpTransport(Config cfg)
     : SocketTransport(CommonConfig{cfg.tick, cfg.max_pad, cfg.parked_ttl}),
       cfg_(cfg),
       backoff_rng_(cfg.seed) {
-  if (cfg_.wire_connections < 1) cfg_.wire_connections = 1;
-
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw std::runtime_error("TcpTransport: socket failed");
   const int one = 1;
@@ -67,20 +65,15 @@ TcpTransport::TcpTransport(Config cfg)
     throw std::runtime_error("TcpTransport: pipe failed");
   }
 
-  // The self-wire: a small pool of loopback connections the senders
-  // round-robin across. connect() succeeds against the listen backlog even
-  // before the io thread accepts, but retry with seeded exponential backoff
-  // anyway — the same policy a cross-process sender uses against a peer
-  // that is still starting up.
-  out_mu_ = std::make_unique<std::mutex[]>(
-      static_cast<std::size_t>(cfg_.wire_connections));
-  for (int i = 0; i < cfg_.wire_connections; ++i) {
-    const int fd = connect_loopback();
-    if (fd < 0) {
-      stop();
-      throw std::runtime_error("TcpTransport: loopback connect failed");
-    }
-    out_fds_.push_back(fd);
+  // The self-wire: one loopback connection, written only by the strand.
+  // connect() succeeds against the listen backlog even before the io thread
+  // accepts, but retry with seeded exponential backoff anyway — the same
+  // policy a cross-process sender uses against a peer that is still
+  // starting up.
+  out_fd_ = connect_loopback();
+  if (out_fd_ < 0) {
+    stop();
+    throw std::runtime_error("TcpTransport: loopback connect failed");
   }
 
   io_thread_ = std::thread([this] { io_loop(); });
@@ -111,12 +104,8 @@ int TcpTransport::connect_to(const sockaddr_in& addr) {
     ::close(fd);
     if (stopping()) return -1;
     // Exponential backoff with seeded jitter, capped.
-    std::chrono::milliseconds jitter;
-    {
-      std::lock_guard<std::mutex> lk(rng_mu_);
-      jitter = std::chrono::milliseconds(backoff_rng_.next_below(
-          static_cast<std::uint64_t>(backoff.count() / 2 + 1)));
-    }
+    const std::chrono::milliseconds jitter(backoff_rng_.next_below(
+        static_cast<std::uint64_t>(backoff.count() / 2 + 1)));
     std::this_thread::sleep_for(backoff + jitter);
     backoff = std::min(backoff * 2, cfg_.connect_backoff_cap);
   }
@@ -138,23 +127,12 @@ void TcpTransport::stop() {
   }
   join_dispatch();
   if (io_thread_.joinable()) io_thread_.join();
-  abandon_inflight();
-  // Tear the out-fds down under their lane locks: a racing late send sees
-  // fd == -1 and counts a connection loss instead of writing a dead fd.
-  for (std::size_t lane = 0; lane < out_fds_.size(); ++lane) {
-    std::lock_guard<std::mutex> lk(out_mu_[lane]);
-    close_fd(out_fds_[lane]);
-  }
-  {
-    std::lock_guard<std::mutex> lk(remotes_mu_);
-    for (auto& [key, rc] : remotes_) {
-      std::lock_guard<std::mutex> clk(rc->mu);
-      close_fd(rc->fd);
-    }
-  }
+  close_fd(out_fd_);
+  for (auto& [key, fd] : remotes_) close_fd(fd);
   close_fd(listen_fd_);
   close_fd(wake_pipe_[0]);
   close_fd(wake_pipe_[1]);
+  finish_stop();
 }
 
 // --- The wire ---------------------------------------------------------------
@@ -164,48 +142,27 @@ SocketTransport::WireLoss TcpTransport::wire_send(
   constexpr ledger::Cause kDead = ledger::Cause::kConn;
   if (stopping()) return kDead;
   if (remote == nullptr) {
-    // Self-wire: round-robin over the loopback lanes. Guard the lane math —
-    // a send racing stop() (or a constructor that never built lanes) must
-    // count a loss, not divide by zero.
-    const std::size_t lanes = out_fds_.size();
-    if (lanes == 0) return kDead;
-    const std::size_t lane =
-        round_robin_.fetch_add(1, std::memory_order_relaxed) % lanes;
-    std::lock_guard<std::mutex> lk(out_mu_[lane]);
-    if (out_fds_[lane] < 0) return kDead;
-    if (!write_all(out_fds_[lane], frame.data(), frame.size())) return kDead;
+    if (out_fd_ < 0 || !write_all(out_fd_, frame.data(), frame.size()))
+      return kDead;
     return std::nullopt;
   }
-  // Cross-process: one ordered stream per destination address, established
-  // lazily and re-established after failure (a restarted process gets a
-  // fresh connection on the next frame).
-  RemoteConn* rc;
-  {
-    std::lock_guard<std::mutex> lk(remotes_mu_);
-    auto& slot = remotes_[addr_key(*remote)];
-    if (!slot) slot = std::make_unique<RemoteConn>();
-    rc = slot.get();
-  }
-  std::lock_guard<std::mutex> lk(rc->mu);
-  if (rc->fd < 0) rc->fd = connect_to(*remote);
-  if (rc->fd < 0) return kDead;
-  if (!write_all(rc->fd, frame.data(), frame.size())) {
-    close_fd(rc->fd);
+  // Cross-process: established lazily and re-established after failure (a
+  // restarted process gets a fresh connection on the next frame).
+  int& fd = remotes_.try_emplace(addr_key(*remote), -1).first->second;
+  if (fd < 0) fd = connect_to(*remote);
+  if (fd < 0) return kDead;
+  if (!write_all(fd, frame.data(), frame.size())) {
+    close_fd(fd);
     return kDead;
   }
   return std::nullopt;
 }
 
 void TcpTransport::sever_wire() {
-  for (std::size_t lane = 0; lane < out_fds_.size(); ++lane) {
-    std::lock_guard<std::mutex> lk(out_mu_[lane]);
-    if (out_fds_[lane] >= 0) ::shutdown(out_fds_[lane], SHUT_RDWR);
-  }
-  std::lock_guard<std::mutex> lk(remotes_mu_);
-  for (auto& [key, rc] : remotes_) {
-    std::lock_guard<std::mutex> clk(rc->mu);
-    if (rc->fd >= 0) ::shutdown(rc->fd, SHUT_RDWR);
-  }
+  if (post_to_strand([this] { sever_wire(); })) return;
+  if (out_fd_ >= 0) ::shutdown(out_fd_, SHUT_RDWR);
+  for (auto& [key, fd] : remotes_)
+    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }
 
 // --- IO thread --------------------------------------------------------------
@@ -220,13 +177,13 @@ bool TcpTransport::drain_buffer(std::vector<std::uint8_t>& buf) {
       return false;  // malformed header: drop the connection
     }
     if (*need == 0 || *need > buf.size() - off) break;  // incomplete frame
-    const std::optional<DecodedFrame> frame =
+    std::optional<DecodedFrame> frame =
         decode_frame(buf.data() + off, *need);
     if (!frame.has_value() || frame->kind != MsgKind::kEnvelope) {
       note_decode_error();
       return false;
     }
-    on_envelope(std::get<EnvelopeMsg>(frame->msg));
+    on_envelope(std::get<EnvelopeMsg>(std::move(frame->msg)));
     off += *need;
   }
   if (off > 0) buf.erase(buf.begin(), buf.begin() + static_cast<long>(off));
@@ -242,12 +199,11 @@ void TcpTransport::io_loop() {
 
   while (true) {
     if (stopping()) break;
-    sweep_parked();
     std::vector<pollfd> fds;
     fds.push_back({listen_fd_, POLLIN, 0});
     fds.push_back({wake_pipe_[0], POLLIN, 0});
     for (const Conn& c : conns) fds.push_back({c.fd, POLLIN, 0});
-    if (::poll(fds.data(), fds.size(), 100) < 0) {
+    if (::poll(fds.data(), fds.size(), -1) < 0) {
       if (errno == EINTR) continue;
       break;
     }

@@ -4,15 +4,16 @@
 //
 // Architecture (per instance):
 //
-//   caller threads ──send()──► envelope codec ──write──► loopback TCP ─┐
+//   the strand ──send()──► envelope codec ──write──► loopback TCP ─────┐
 //                                                                      │
 //   io thread: poll() over the listen socket + accepted connections ◄──┘
-//     reads byte streams, reassembles frames (net/wire.hpp), redeems the
-//     parked delivery handler by message id — or, for frames carrying a
-//     payload, decodes the inner message — and enqueues for dispatch
+//     reads byte streams, reassembles frames (net/wire.hpp) and hands each
+//     envelope to the strand — decoding the inner message first for
+//     frames that carry a payload
 //
-//   dispatch thread ("the strand"): executes delivered handlers and due
-//     timers one at a time, in arrival/deadline order
+//   dispatch thread ("the strand"): redeems parked handlers and runs
+//     delivered handlers, due timers and sends posted from other threads,
+//     one at a time, in arrival/deadline order
 //
 // Two kinds of traffic share the wire (see net/socket_transport.hpp and
 // docs/PROTOCOL.md "Addressing & delivery"):
@@ -22,19 +23,19 @@
 //  * payload sends (send_payload()) to endpoints in the peer-address table
 //    serialize the real message through the wire codec and write it on a
 //    per-address outbound connection to the owning process, whose io
-//    thread decodes and dispatches it on its own strand.
+//    thread decodes it and whose strand dispatches it.
 //
-// Threading contract, accounting parity, and time semantics are the
-// SocketTransport base contract. This class owns only the sockets: the
-// listen socket + self-wire lanes, lazily-connected per-address remote
+// Threading, accounting parity and time semantics are the SocketTransport
+// base contract: after set-up only the strand mutates, and other threads
+// are posted there. The outbound sockets are strand state, so they need no
+// locks. This class owns only the sockets: the listen socket + one
+// loopback self-wire connection, lazily-connected per-address remote
 // connections, and the io thread that feeds frames back to the base.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -50,9 +51,6 @@ class TcpTransport final : public SocketTransport {
     /// constants are written in ticks (sim convention: ~1ms); the default
     /// compresses them 10x so loss-recovery tests stay fast.
     std::chrono::microseconds tick{100};
-    /// Parallel loopback connections (sends round-robin across them, so
-    /// concurrent senders do not serialize on one stream).
-    int wire_connections = 2;
     /// Connection establishment: attempts and exponential backoff bounds.
     int connect_attempts = 20;
     std::chrono::milliseconds connect_backoff{2};
@@ -82,8 +80,8 @@ class TcpTransport final : public SocketTransport {
 
   void stop() override;
 
-  /// Test/fault hook: shuts down every outbound wire connection (self-wire
-  /// lanes and remote connections), so each subsequent wire send fails
+  /// Test/fault hook: shuts down every outbound wire connection (the
+  /// self-wire and remote connections), so each subsequent wire send fails
   /// deterministically (and is accounted net.dropped.conn,
   /// SendRecord.lost = true). Frames already written still drain to the
   /// reader — the cut is clean at a frame boundary, never mid-frame.
@@ -101,32 +99,20 @@ class TcpTransport final : public SocketTransport {
   int connect_to(const sockaddr_in& addr);
   void close_fd(int& fd);
 
-  /// One lazily-established outbound connection to a remote process.
-  /// A single ordered stream per address: frames to the same process
-  /// arrive FIFO (publish-before-query ordering for the split overlay).
-  struct RemoteConn {
-    int fd = -1;
-    std::mutex mu;
-  };
-
   Config cfg_;
 
-  // Sockets. listen_fd_ accepts; out_fds_ are the self-wire client ends
-  // sends write to (each guarded by its own write mutex so concurrent
-  // senders can use distinct streams in parallel); accepted connections
-  // live in the io thread only.
+  // Sockets. listen_fd_ accepts; out_fd_ is the self-wire client end that
+  // sends write to; accepted connections live in the io thread only.
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};  ///< unblocks the io thread's poll on stop
   std::uint16_t port_ = 0;
-  std::vector<int> out_fds_;
-  std::unique_ptr<std::mutex[]> out_mu_;
-  std::atomic<std::uint64_t> round_robin_{0};
+  int out_fd_ = -1;
 
-  // Outbound connections to other processes, keyed by (ip, port).
-  std::mutex remotes_mu_;
-  std::map<std::uint64_t, std::unique_ptr<RemoteConn>> remotes_;
+  // Outbound connections to other processes, keyed by (ip, port): one
+  // ordered stream per address, so frames to the same process arrive FIFO
+  // (publish-before-query ordering for the split overlay).
+  std::map<std::uint64_t, int> remotes_;
 
-  std::mutex rng_mu_;  ///< connect_to runs on concurrent sender threads
   Rng backoff_rng_;
 
   std::thread io_thread_;

@@ -20,8 +20,9 @@
 //    supplies virtual time, latency/drop/fault models shape the fabric, and
 //    seeded RNG keeps runs bit-identical.
 //  * net::TcpTransport — the real runtime (see src/net/tcp_transport.hpp):
-//    loopback TCP sockets, an I/O thread pool, wall-clock timers, and the
-//    binary envelope codec of src/net/wire.hpp on every wire message.
+//    loopback TCP sockets, an io thread, a dispatch strand, wall-clock
+//    timers, and the binary envelope codec of src/net/wire.hpp on every
+//    wire message.
 //  * net::UdpTransport — the lossy datagram runtime (see
 //    src/net/udp_transport.hpp): one socket per process, every envelope a
 //    datagram, with a seeded drop model standing in for real packet loss.
@@ -40,9 +41,12 @@
 //    or lost to one cause. net/ledger.hpp states the two identities this
 //    keeps, which hold per backend (per process) once traffic drains.
 //  * Handlers run one at a time, in delivery order, never re-entrantly
-//    inside send() — protocol state machines are single-threaded with
-//    respect to their transport (the sim's event loop; the TCP backend's
-//    dispatch strand).
+//    inside send().
+//  * Threading: after set-up, only one thread mutates a transport and the
+//    protocol state above it — the sim's event loop, or a socket backend's
+//    dispatch strand. Calls from other threads are posted there (the
+//    socket backends do this inside send/send_payload and the setters), so
+//    metrics() has a single writer and decorators record into it directly.
 #pragma once
 
 #include <cstdint>
@@ -188,13 +192,6 @@ class Transport {
 
   virtual sim::Metrics& metrics() = 0;
   virtual const sim::Metrics& metrics() const = 0;
-
-  /// Runs `fn` on metrics(), serialized with the backend's own ledger
-  /// records, from any thread (decorators record through this). The
-  /// default is a direct call, right for single-threaded backends.
-  virtual void record(const std::function<void(sim::Metrics&)>& fn) {
-    fn(metrics());
-  }
 
   /// Installs (or, with nullptr, removes) a per-send observer — the tracing
   /// hook (see src/obs). Invoked synchronously from send(); keep it cheap.

@@ -67,20 +67,13 @@ void UdpTransport::stop() {
   }
   join_dispatch();
   if (io_thread_.joinable()) io_thread_.join();
-  abandon_inflight();
-  {
-    std::lock_guard<std::mutex> lk(send_mu_);
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
+  for (int* fd : {&fd_, &wake_pipe_[0], &wake_pipe_[1]}) {
+    if (*fd >= 0) {
+      ::close(*fd);
+      *fd = -1;
     }
   }
-  for (int& fd : wake_pipe_) {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
+  finish_stop();
 }
 
 SocketTransport::WireLoss UdpTransport::wire_send(
@@ -89,8 +82,6 @@ SocketTransport::WireLoss UdpTransport::wire_send(
   if (stopping()) return kDead;
   if (frame.size() > kMaxDatagram) return kDead;
   const sockaddr_in dest = remote != nullptr ? *remote : self_addr_;
-
-  std::lock_guard<std::mutex> lk(send_mu_);
   if (fd_ < 0) return kDead;
   // The seeded drop model: the frame dies here, exactly where a real
   // congested path would discard the datagram.
@@ -108,9 +99,8 @@ void UdpTransport::io_loop() {
   std::vector<std::uint8_t> buf(64 * 1024);
   while (true) {
     if (stopping()) break;
-    sweep_parked();
     pollfd fds[2] = {{fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    if (::poll(fds, 2, 100) < 0) {
+    if (::poll(fds, 2, -1) < 0) {
       if (errno == EINTR) continue;
       break;
     }
@@ -122,13 +112,13 @@ void UdpTransport::io_loop() {
       if (n <= 0) break;
       // One datagram, one frame: no reassembly. A malformed or truncated
       // datagram is counted and dropped; the socket lives on.
-      const std::optional<DecodedFrame> frame =
+      std::optional<DecodedFrame> frame =
           decode_frame(buf.data(), static_cast<std::size_t>(n));
       if (!frame.has_value() || frame->kind != MsgKind::kEnvelope) {
         note_decode_error();
         continue;
       }
-      on_envelope(std::get<EnvelopeMsg>(frame->msg));
+      on_envelope(std::get<EnvelopeMsg>(std::move(frame->msg)));
     }
   }
 }

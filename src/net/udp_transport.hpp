@@ -7,10 +7,13 @@
 //
 // Architecture (per instance): one loopback UDP socket, bound ephemeral.
 // Self-wire frames (parked-handler sends) and cross-process payload frames
-// (peer-address table) both go out as single datagrams via sendto(); the
-// io thread recvfrom()s whole envelopes — no stream reassembly, datagram
-// boundaries are frame boundaries — and feeds them to the SocketTransport
-// base exactly like the TCP backend.
+// (peer-address table) both go out as single datagrams via sendto() on the
+// strand; the io thread recvfrom()s whole envelopes — no stream
+// reassembly, datagram boundaries are frame boundaries — and hands them to
+// the strand exactly like the TCP backend. Threading is the
+// SocketTransport rule: after set-up only the strand mutates (the socket's
+// send side and the drop-model RNG included), and other threads are posted
+// there; set_drop_rate() alone writes an atomic from any thread.
 //
 // Loss semantics (the ledger's lost fate, docs/ROBUSTNESS.md):
 //  * the seeded drop model discards a frame at send time — lost to a
@@ -27,6 +30,7 @@
 // phases (index::PeerSlice::publish does).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <thread>
@@ -86,8 +90,7 @@ class UdpTransport final : public SocketTransport {
   std::uint16_t port_ = 0;
   sockaddr_in self_addr_{};
 
-  std::mutex send_mu_;  ///< serializes sendto + the drop-model RNG draw
-  Rng drop_rng_;
+  Rng drop_rng_;  ///< drawn by wire_send, on the strand
   std::atomic<std::uint64_t> drop_ppm_{0};  ///< drop_rate in parts-per-million
 
   std::thread io_thread_;

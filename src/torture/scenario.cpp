@@ -950,39 +950,78 @@ std::unique_ptr<net::SocketTransport> make_socket(const ScenarioConfig& cfg) {
   return std::make_unique<net::TcpTransport>(tc);
 }
 
-/// Shared driver for OverlayIndex over either DHT. `chord` is non-null for
-/// the Chord deployment (whose stabilize recipe enables churn).
-void run_overlay(const ScenarioConfig& cfg, const FaultPlan& plan,
-                 ScenarioReport& rep, obs::Tracer* tracer) {
-  const bool sock_mode = cfg.backend != Backend::kSim;
-  sim::EventQueue clock;
-  auto injector = std::make_unique<FaultInjector>(plan);
-  FaultInjector* inj = injector.get();
+/// The wire a fault-injected scenario runs on: the sim fabric, or a real
+/// SocketTransport (TCP or UDP) wrapped in the FaultTransport decorator so
+/// the same plan injects below the protocol. Faults start only at arm().
+struct FaultedWire {
+  FaultedWire(const ScenarioConfig& cfg, const FaultPlan& plan)
+      : injector(std::make_unique<FaultInjector>(plan)), inj(injector.get()) {
+    if (cfg.backend != Backend::kSim) {
+      sock = make_socket(cfg);
+      faulted = std::make_unique<net::FaultTransport>(
+          *sock, std::move(injector), mix64(cfg.seed ^ kNetSalt ^ 2));
+      transport = faulted.get();
+    } else {
+      simnet = std::make_unique<sim::Network>(
+          clock, std::make_unique<sim::UniformLatency>(1, 12),
+          mix64(cfg.seed ^ kNetSalt));
+      transport = simnet.get();
+      rt.clock = &clock;
+    }
+    rt.sock = sock.get();
+    rt.transport = transport;
+    rt.capture_strand();
+  }
 
-  // Substrate: the sim fabric, or a real SocketTransport (TCP or UDP)
-  // wrapped in the FaultTransport decorator so the same plan injects below
-  // the protocol.
+  /// Starts fault injection, so overlay construction traffic stays
+  /// pristine. (The sim installs the model, the decorator arms on the
+  /// strand that drives it; either way wire numbering starts at the next
+  /// message.)
+  void arm() {
+    if (faulted != nullptr)
+      rt.post_sync([this] { faulted->arm(); });
+    else
+      simnet->set_fault_model(std::move(injector));
+  }
+
+  sim::EventQueue clock;
+  std::unique_ptr<FaultInjector> injector;  ///< until the wire takes it
+  FaultInjector* inj;
   std::unique_ptr<sim::Network> simnet;
   std::unique_ptr<net::SocketTransport> sock;
   std::unique_ptr<net::FaultTransport> faulted;
   net::Transport* transport = nullptr;
-  if (sock_mode) {
-    sock = make_socket(cfg);
-    faulted = std::make_unique<net::FaultTransport>(
-        *sock, std::move(injector), mix64(cfg.seed ^ kNetSalt ^ 2));
-    transport = faulted.get();
-  } else {
-    simnet = std::make_unique<sim::Network>(
-        clock, std::make_unique<sim::UniformLatency>(1, 12),
-        mix64(cfg.seed ^ kNetSalt));
-    transport = simnet.get();
-  }
-
   Runtime rt;
-  rt.clock = sock_mode ? nullptr : &clock;
-  rt.sock = sock.get();
-  rt.transport = transport;
-  rt.capture_strand();
+};
+
+/// The retransmission and backoff knobs every fault-injected index runs
+/// with.
+index::OverlayIndex::Config fault_tolerant_config(const ScenarioConfig& cfg) {
+  index::OverlayIndex::Config c;
+  c.r = cfg.r;
+  c.cache_capacity = cfg.cache_capacity;
+  // Exercise the VisitBatch path under faults: the conservation and
+  // soundness invariants must hold with coalesced rounds too.
+  c.coalesce_visits = true;
+  c.step_timeout = cfg.retransmission ? 80 : 0;
+  c.max_retries = 8;
+  // Exponential backoff with seeded jitter on the retries: under a
+  // partition window, blind fixed-period retransmission would burn the
+  // retry budget into the cut; backoff stretches the schedule across it.
+  c.backoff_cap = 640;
+  c.backoff_jitter = 40;
+  c.backoff_seed = mix64(cfg.seed ^ kNetSalt ^ 3);
+  return c;
+}
+
+/// Shared driver for OverlayIndex over either DHT. `chord` is non-null for
+/// the Chord deployment (whose stabilize recipe enables churn).
+void run_overlay(const ScenarioConfig& cfg, const FaultPlan& plan,
+                 ScenarioReport& rep, obs::Tracer* tracer) {
+  FaultedWire wire(cfg, plan);
+  Runtime& rt = wire.rt;
+  net::Transport* transport = wire.transport;
+  sim::Network* simnet = wire.simnet.get();
 
   std::unique_ptr<dht::Overlay> overlay;
   dht::ChordNetwork* chord = nullptr;
@@ -996,20 +1035,7 @@ void run_overlay(const ScenarioConfig& cfg, const FaultPlan& plan,
         dht::PastryNetwork::build(*transport, cfg.peers, {}));
   }
   dht::Dolr dolr(*overlay);
-  index::OverlayIndex::Config oicfg;
-  oicfg.r = cfg.r;
-  oicfg.cache_capacity = cfg.cache_capacity;
-  // Exercise the VisitBatch path under faults: the conservation and
-  // soundness invariants must hold with coalesced rounds too.
-  oicfg.coalesce_visits = true;
-  oicfg.step_timeout = cfg.retransmission ? 80 : 0;
-  oicfg.max_retries = 8;
-  // Exponential backoff with seeded jitter on the retries: under a
-  // partition window, blind fixed-period retransmission would burn the
-  // retry budget into the cut; backoff stretches the schedule across it.
-  oicfg.backoff_cap = 640;
-  oicfg.backoff_jitter = 40;
-  oicfg.backoff_seed = mix64(cfg.seed ^ kNetSalt ^ 3);
+  index::OverlayIndex::Config oicfg = fault_tolerant_config(cfg);
   if (cfg.hot_spot) {
     // One popularity window covers the whole run, so the recurring-query
     // head accumulates scans fast enough to cross the hot threshold within
@@ -1021,13 +1047,7 @@ void run_overlay(const ScenarioConfig& cfg, const FaultPlan& plan,
     oicfg.hot.max_hot = 16;
   }
   index::OverlayIndex oi(dolr, oicfg);
-  // Faults start only now: overlay construction traffic stays pristine.
-  // (Same discipline on both substrates — the sim installs the model, the
-  // decorator arms; either way wire numbering starts at the next message.)
-  if (sock_mode)
-    faulted->arm();
-  else
-    simnet->set_fault_model(std::move(injector));
+  wire.arm();
   if (tracer != nullptr && simnet != nullptr)
     obs::attach_network(*tracer, *simnet);
 
@@ -1070,7 +1090,7 @@ void run_overlay(const ScenarioConfig& cfg, const FaultPlan& plan,
   // a direct call on the simulator, the thread-safety boundary on tcp.
   Ops ops;
   ops.clock = rt.clock;
-  ops.net = simnet.get();
+  ops.net = simnet;
   ops.rt = &rt;
   ops.plane = plane.get();
   ops.overshoot_ok = cfg.strategy == SearchStrategy::kLevelParallel;
@@ -1240,37 +1260,16 @@ void run_overlay(const ScenarioConfig& cfg, const FaultPlan& plan,
       }
     }
   }
-  rep.faults_applied = inj->applied();
+  rep.faults_applied = wire.inj->applied();
 }
 
 void run_mirrored(const ScenarioConfig& cfg, const FaultPlan& plan,
                   ScenarioReport& rep, obs::Tracer* tracer) {
-  const bool sock_mode = cfg.backend != Backend::kSim;
-  sim::EventQueue clock;
-  auto injector = std::make_unique<FaultInjector>(plan);
-  FaultInjector* inj = injector.get();
-
-  std::unique_ptr<sim::Network> simnet;
-  std::unique_ptr<net::SocketTransport> sock;
-  std::unique_ptr<net::FaultTransport> faulted;
-  net::Transport* transport = nullptr;
-  if (sock_mode) {
-    sock = make_socket(cfg);
-    faulted = std::make_unique<net::FaultTransport>(
-        *sock, std::move(injector), mix64(cfg.seed ^ kNetSalt ^ 2));
-    transport = faulted.get();
-  } else {
-    simnet = std::make_unique<sim::Network>(
-        clock, std::make_unique<sim::UniformLatency>(1, 12),
-        mix64(cfg.seed ^ kNetSalt));
-    transport = simnet.get();
-  }
-
-  Runtime rt;
-  rt.clock = sock_mode ? nullptr : &clock;
-  rt.sock = sock.get();
-  rt.transport = transport;
-  rt.capture_strand();
+  FaultedWire wire(cfg, plan);
+  Runtime& rt = wire.rt;
+  net::Transport* transport = wire.transport;
+  sim::Network* simnet = wire.simnet.get();
+  net::SocketTransport* sock = wire.sock.get();
 
   auto chord = std::make_unique<dht::ChordNetwork>(
       dht::ChordNetwork::build(*transport, cfg.peers, {}));
@@ -1278,19 +1277,8 @@ void run_mirrored(const ScenarioConfig& cfg, const FaultPlan& plan,
   // something to repair from; the plain scenario stays unreplicated.
   dht::Dolr dolr(*chord,
                  {.replication_factor = cfg.continuous_churn ? 3 : 1});
-  index::MirroredIndex mi(
-      dolr, {.r = cfg.r,
-             .cache_capacity = cfg.cache_capacity,
-             .coalesce_visits = true,
-             .step_timeout = cfg.retransmission ? sim::Time{80} : sim::Time{0},
-             .max_retries = 8,
-             .backoff_cap = 640,
-             .backoff_jitter = 40,
-             .backoff_seed = mix64(cfg.seed ^ kNetSalt ^ 3)});
-  if (sock_mode)
-    faulted->arm();
-  else
-    simnet->set_fault_model(std::move(injector));
+  index::MirroredIndex mi(dolr, fault_tolerant_config(cfg));
+  wire.arm();
   if (tracer != nullptr && simnet != nullptr)
     obs::attach_network(*tracer, *simnet);
 
@@ -1338,7 +1326,7 @@ void run_mirrored(const ScenarioConfig& cfg, const FaultPlan& plan,
   // Op initiations marshal through rt.post_sync (direct calls on the sim).
   Ops ops;
   ops.clock = rt.clock;
-  ops.net = simnet.get();
+  ops.net = simnet;
   ops.rt = &rt;
   ops.plane = plane.get();
   // Each cube may overshoot under kLevelParallel but the merge truncates
@@ -1438,7 +1426,7 @@ void run_mirrored(const ScenarioConfig& cfg, const FaultPlan& plan,
   // The observer closes over the plane, which is destroyed before the
   // transport: detach it before teardown.
   if (sock != nullptr) sock->set_peer_down_observer(nullptr);
-  rep.faults_applied = inj->applied();
+  rep.faults_applied = wire.inj->applied();
 }
 
 }  // namespace

@@ -189,7 +189,8 @@ TEST(FaultPlanPartition, CutDropsCrossingLossableTrafficThenHeals) {
 // The same drop semantics over the real runtime: the dropped frame never
 // touches a socket, the delivered one does, and the conservation identity
 // the torture harness checks — net.messages == net.delivered + net.lost —
-// closes after the transport drains.
+// closes after the transport drains. The decorator is driven from the
+// dispatch strand, like all protocol code on a socket runtime.
 TEST(FaultTransport, DropAccountingClosesOverTcp) {
   TcpTransport tcp;
   FaultTransport ft(tcp,
@@ -199,8 +200,10 @@ TEST(FaultTransport, DropAccountingClosesOverTcp) {
   ft.register_endpoint(2);
   ft.arm();
   std::atomic<int> ran{0};
-  for (int i = 0; i < 4; ++i)
-    ft.send(1, 2, "kws.t_query", 64, [&] { ++ran; });  // seq 1 dropped
+  tcp.schedule_in(0, [&] {
+    for (int i = 0; i < 4; ++i)
+      ft.send(1, 2, "kws.t_query", 64, [&] { ++ran; });  // seq 1 dropped
+  });
   ASSERT_TRUE(tcp.wait_idle(kIdle));
   EXPECT_EQ(ran.load(), 3);
   EXPECT_EQ(ft.metrics().counter("net.messages"), 4u);
@@ -223,7 +226,7 @@ TEST(FaultTransport, DelayedRedeliveryIsCoveredByTcpWaitIdle) {
   ft.register_endpoint(2);
   ft.arm();
   std::atomic<int> ran{0};
-  ft.send(1, 2, "kws.t_cont", 24, [&] { ++ran; });
+  tcp.schedule_in(0, [&] { ft.send(1, 2, "kws.t_cont", 24, [&] { ++ran; }); });
   ASSERT_TRUE(tcp.wait_idle(kIdle));
   EXPECT_EQ(ran.load(), 1);
   EXPECT_EQ(ft.metrics().counter("net.delayed"), 1u);

@@ -585,9 +585,9 @@ TEST(TcpTransport, ParkedHandlerSweepReclaimsFramesDeadOnTheWire) {
   EXPECT_TRUE(t.drain_and_stop(std::chrono::milliseconds{2000}));
 }
 
-// Regression for the lane-selection division by zero: send() racing stop()
-// used to compute `round_robin_ % out_fds_.size()` after the lanes were
-// torn down. Sends after stop must be counted losses, not crashes.
+// Sends after stop() act directly on the caller's thread against a wire
+// that is gone: they must be counted losses, not crashes (originally a
+// division by zero in the self-wire's lane selection).
 TEST(TcpTransport, SendAfterStopIsCountedLossNotCrash) {
   TcpTransport t(fast_config());
   t.register_endpoint(1);

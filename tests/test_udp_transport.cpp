@@ -6,17 +6,25 @@
 //
 // These tests exercise real threads and sockets; the CI tsan job runs this
 // binary under ThreadSanitizer.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "net/ledger.hpp"
 #include "net/transport.hpp"
 #include "net/udp_transport.hpp"
+#include "net/wire.hpp"
 
 namespace hkws::net {
 namespace {
@@ -270,6 +278,65 @@ TEST(UdpTransport, SendAfterStopIsCountedLossNotCrash) {
   EXPECT_EQ(counter(t, "net.messages"), 4u);
   EXPECT_EQ(counter(t, "net.lost"), 4u);
   EXPECT_EQ(counter(t, "net.dropped.conn"), 4u);
+}
+
+// The socket runtime's Metrics registry has one writer, the strand. Stray
+// frames arrive on the io thread while strand handlers bump a protocol
+// counter in the same registry; the io thread must hand its records to the
+// strand rather than write them itself (under TSan a second writer is a
+// reported data race). The sender paces itself in batches, waiting for the
+// strand to have seen each one, so every frame it sends arrives.
+TEST(UdpTransport, StraysAndStrandCountersShareOneWriter) {
+  UdpTransport t(fast_config());
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in dest{};
+  dest.sin_family = AF_INET;
+  dest.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  dest.sin_port = htons(t.port());
+
+  // Reads a counter on the strand, the registry's owner.
+  const auto read_on_strand = [&t](const char* key) {
+    std::promise<std::uint64_t> value;
+    std::future<std::uint64_t> got = value.get_future();
+    t.schedule_in(0, [&] { value.set_value(t.metrics().counter(key)); });
+    return got.get();
+  };
+
+  constexpr int kFrames = 2000;
+  constexpr int kBatch = 50;
+  std::thread counting([&t] {
+    for (int i = 0; i < kFrames; ++i)
+      t.schedule_in(0, [&t] { t.metrics().count("kws.test"); });
+  });
+  for (int sent = 0; sent < kFrames;) {
+    for (int i = 0; i < kBatch; ++i, ++sent) {
+      EnvelopeMsg env;
+      env.inner_kind = MsgKind::kKwsTQuery;
+      env.msg_id = (std::uint64_t{1} << 40) + sent;  // never parked
+      env.from = 1;
+      env.to = 2;
+      const std::vector<std::uint8_t> frame =
+          encode_frame(MsgKind::kEnvelope, WireMessage{env});
+      ASSERT_EQ(::sendto(fd, frame.data(), frame.size(), 0,
+                         reinterpret_cast<const sockaddr*>(&dest),
+                         sizeof(dest)),
+                static_cast<ssize_t>(frame.size()));
+    }
+    const auto deadline = std::chrono::steady_clock::now() + kIdle;
+    while (read_on_strand("net.stray") < static_cast<std::uint64_t>(sent)) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "frames lost before the strand saw them";
+      std::this_thread::sleep_for(100us);
+    }
+  }
+  counting.join();
+  ::close(fd);
+  ASSERT_TRUE(t.wait_idle(kIdle));
+  EXPECT_EQ(ledger::identity_error(t.metrics()), "");
+  EXPECT_EQ(counter(t, "net.stray"), static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(counter(t, "kws.test"), static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(t.decode_errors(), 0u);
 }
 
 }  // namespace

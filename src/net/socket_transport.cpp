@@ -120,6 +120,88 @@ void SocketTransport::run_posted(const Handler& call) {
   if (!done) call();
 }
 
+// --- Outboxes ---------------------------------------------------------------
+
+std::uint64_t SocketTransport::addr_key(const sockaddr_in& sa) {
+  return (static_cast<std::uint64_t>(sa.sin_addr.s_addr) << 16) |
+         ntohs(sa.sin_port);
+}
+
+std::size_t SocketTransport::encode_envelope(Outbox& box) {
+  const std::size_t begin = box.bytes.size();
+  if (!encode_frame_into(MsgKind::kEnvelope, envelope_, box.bytes)) return 0;
+  return box.bytes.size() - begin;
+}
+
+void SocketTransport::queue_frame(Outbox& box, const QueuedFrame& f) {
+  if (box.frames.empty()) dirty_.push_back(&box);
+  box.frames.push_back(f);
+  ++slots_;  // held until the flush records the frame's fate
+  if (box.bytes.size() > kFlushBytes) flush(box);
+}
+
+void SocketTransport::flush_outboxes() {
+  // flush() never queues a frame (peer-down reports go out as events), so
+  // dirty_ is stable while it runs.
+  for (Outbox* box : dirty_) flush(*box);
+  dirty_.clear();
+}
+
+void SocketTransport::flush_if_detached() {
+  if (t_strand_of == this) return;
+  flush_outboxes();
+  std::lock_guard<std::mutex> lk(strand_mu_);
+  settle();
+}
+
+void SocketTransport::flush(Outbox& box) {
+  if (box.frames.empty()) return;
+  wire_flush(box);
+  const Time at = now();
+  bool looped = false;  // a frame is on its way back through the self-wire
+  for (const QueuedFrame& f : box.frames) {
+    if (f.msg_id != 0 && !f.loss) {
+      if (!looped) loop_lo_ = f.msg_id;
+      loop_hi_ = f.msg_id;
+      looped = true;
+    }
+    if (f.msg_id == 0) {
+      // A cross-process message closes at the sender as soon as the wire
+      // has accepted or refused its frame (the receiver records only
+      // remote_in).
+      const std::string kind = kind_name(f.kind);
+      if (f.loss)
+        ledger::lost(metrics_, kind, *f.loss);
+      else
+        ledger::delivered(metrics_);
+      --slots_;
+      if (observer_)
+        observer_(kind, SendRecord{at, f.from, f.to, f.bytes,
+                                   f.loss.has_value(), at});
+    } else {
+      // Parked before it was queued, and its envelope cannot have come
+      // back before this write: the entry is here. An accepted frame
+      // keeps its slot while parked.
+      const auto it = parked_.find(f.msg_id);
+      const std::string& kind = it->second.kind;
+      if (f.loss) ledger::lost(metrics_, kind, *f.loss);
+      if (observer_)
+        observer_(kind, SendRecord{at, f.from, f.to, f.bytes,
+                                   f.loss.has_value(), at});
+      if (f.loss) {
+        parked_.erase(it);
+        --slots_;
+      }
+    }
+    // A dead connection is a positive liveness signal the failure
+    // detector can act on at once; a drop model's loss is not.
+    if (f.loss == ledger::Cause::kConn) report_peer_down(f.to);
+  }
+  if (looped) returns_due_ = Clock::now() + common_.tick * kLoopWaitTicks;
+  box.bytes.clear();
+  box.frames.clear();
+}
+
 // --- Send (parked-handler mode) ---------------------------------------------
 
 void SocketTransport::send(EndpointId from, EndpointId to, std::string kind,
@@ -140,48 +222,35 @@ void SocketTransport::send(EndpointId from, EndpointId to, std::string kind,
     return;
   }
 
-  EnvelopeMsg env;
+  EnvelopeMsg& env = std::get<EnvelopeMsg>(envelope_);
   const std::optional<MsgKind> known = kind_of(kind);
   env.inner_kind = known.value_or(MsgKind::kOpaque);
-  if (!known.has_value()) env.label = kind;
+  if (known.has_value())
+    env.label.clear();
+  else
+    env.label = kind;
   const std::uint64_t msg_id = next_msg_++;
   env.msg_id = msg_id;
   env.from = from;
   env.to = to;
   env.declared_bytes = payload_bytes;
+  env.payload.clear();
   env.pad = static_cast<std::uint32_t>(
       std::min<std::size_t>(payload_bytes, common_.max_pad));
-  const std::vector<std::uint8_t> frame =
-      encode_frame(MsgKind::kEnvelope, WireMessage{env});
+  const std::size_t size = encode_envelope(self_box_);
+  if (size == 0) return;  // cannot happen: a padded envelope always fits
 
-  ledger::sent(metrics_, kind, payload_bytes, frame.size());
-  const WireLoss loss = wire_send(frame, nullptr);
-  if (loss) {
-    // The wire swallowed the frame (connection death, a send after stop(),
-    // or the backend's drop model). A dead connection is additionally a
-    // positive liveness signal the failure detector can act on immediately.
-    ledger::lost(metrics_, kind, *loss);
-    if (*loss == ledger::Cause::kConn) report_peer_down(to);
-  } else {
-    // Park the handler until the strand sees the envelope come back (it
-    // cannot before this returns: redemption runs on this thread). The
-    // deadline bounds how long a frame the wire swallowed holds its slot.
-    {
-      std::lock_guard<std::mutex> lk(strand_mu_);
-      ++inflight_;
-    }
-    parked_.emplace_hint(parked_.end(), msg_id,
-                         ParkedEntry{std::move(deliver), kind,
-                                     Clock::now() + common_.parked_ttl});
-  }
-  // Observe after the wire has decided the frame's fate, so SendRecord.lost
-  // is truthful — a frame the connection swallowed is never reported
-  // delivered.
-  if (observer_) {
-    const Time at = now();
-    observer_(kind, SendRecord{at, from, to, payload_bytes, loss.has_value(),
-                               at});
-  }
+  ledger::sent(metrics_, kind, payload_bytes, size);
+  // Park the handler until the strand sees the envelope come back (it
+  // cannot before the flush). The deadline bounds how long a frame the
+  // wire swallowed holds its slot.
+  parked_.emplace_hint(parked_.end(), msg_id,
+                       ParkedEntry{std::move(deliver), std::move(kind),
+                                   Clock::now() + common_.parked_ttl});
+  queue_frame(self_box_, QueuedFrame{self_box_.bytes.size(), std::nullopt,
+                                     msg_id, MsgKind::kOpaque, from, to,
+                                     payload_bytes});
+  flush_if_detached();
 }
 
 // --- Send (cross-process payload mode) --------------------------------------
@@ -196,38 +265,32 @@ void SocketTransport::send_payload(EndpointId from, EndpointId to,
     Transport::send_payload(from, to, kind, msg);
     return;
   }
-  const std::string kind_label = kind_name(kind);
-  std::vector<std::uint8_t> inner = encode_frame(kind, msg);
-  if (inner.empty()) return;  // layout mismatch: programming error upstream
-  const std::size_t declared = inner.size();
-
-  EnvelopeMsg env;
+  EnvelopeMsg& env = std::get<EnvelopeMsg>(envelope_);
+  env.payload.clear();
+  if (!encode_frame_into(kind, msg, env.payload))
+    return;  // layout mismatch: programming error upstream
+  const std::size_t declared = env.payload.size();
   env.inner_kind = kind;
+  env.label.clear();
   env.msg_id = next_msg_++;
   env.from = from;
   env.to = to;
   env.declared_bytes = declared;
-  env.payload = std::move(inner);
   env.pad = 0;  // the payload itself is the serialization cost
-  const std::vector<std::uint8_t> frame =
-      encode_frame(MsgKind::kEnvelope, WireMessage{std::move(env)});
 
-  const WireLoss loss = wire_send(frame, &remote);
-  // A cross-process message closes at the sender as soon as the wire has
-  // accepted or refused the frame (the receiver records only remote_in),
-  // so the whole fate is recorded at once.
-  ledger::sent(metrics_, kind_label, declared, frame.size());
-  ledger::remote_out(metrics_);
-  if (loss)
-    ledger::lost(metrics_, kind_label, *loss);
-  else
-    ledger::delivered(metrics_);
-  if (observer_) {
-    const Time at = now();
-    observer_(kind_label,
-              SendRecord{at, from, to, declared, loss.has_value(), at});
+  auto [it, added] = remote_boxes_.try_emplace(addr_key(remote));
+  Outbox& box = it->second;
+  if (added) {
+    box.remote = true;
+    box.addr = remote;
   }
-  if (loss == ledger::Cause::kConn) report_peer_down(to);
+  const std::size_t size = encode_envelope(box);
+  if (size == 0) return;  // an inner frame at the size limit
+  ledger::sent(metrics_, kind_name(kind), declared, size);
+  ledger::remote_out(metrics_);
+  queue_frame(box, QueuedFrame{box.bytes.size(), std::nullopt, 0, kind, from,
+                               to, declared});
+  flush_if_detached();
 }
 
 void SocketTransport::report_peer_down(EndpointId to) {
@@ -256,7 +319,15 @@ void SocketTransport::enqueue_ready(Ready r) {
 
 // --- Inbound envelopes ------------------------------------------------------
 
-void SocketTransport::on_envelope(EnvelopeMsg&& env) {
+bool SocketTransport::decode_inbound(const std::uint8_t* data,
+                                     std::size_t len,
+                                     std::vector<Ready>& batch) {
+  std::optional<DecodedFrame> frame = decode_frame(data, len);
+  if (!frame.has_value() || frame->kind != MsgKind::kEnvelope) {
+    note_decode_error();
+    return false;
+  }
+  EnvelopeMsg& env = std::get<EnvelopeMsg>(frame->msg);
   // Test/fault hook: discard the next N inbound envelopes as if the frames
   // had died on the read side of the wire.
   std::uint64_t budget = drop_inbound_.load(std::memory_order_relaxed);
@@ -264,11 +335,11 @@ void SocketTransport::on_envelope(EnvelopeMsg&& env) {
          !drop_inbound_.compare_exchange_weak(budget, budget - 1,
                                               std::memory_order_relaxed)) {
   }
-  if (budget > 0) return;
+  if (budget > 0) return true;
 
   if (env.payload.empty()) {
-    enqueue_ready(Ready{{}, env.msg_id});
-    return;
+    batch.push_back(Ready{{}, env.msg_id});
+    return true;
   }
   // Cross-process payload: decode the inner frame here, dispatch it to the
   // payload handler on the strand. The sender's process recorded its fate;
@@ -277,10 +348,10 @@ void SocketTransport::on_envelope(EnvelopeMsg&& env) {
       decode_frame(env.payload.data(), env.payload.size());
   if (!inner.has_value() || inner->kind != env.inner_kind) {
     note_decode_error();
-    return;
+    return true;  // the envelope itself was sound: the stream goes on
   }
-  enqueue_ready(Ready{[this, from = env.from, to = env.to, kind = inner->kind,
-                       msg = std::move(inner->msg)] {
+  batch.push_back(Ready{[this, from = env.from, to = env.to,
+                         kind = inner->kind, msg = std::move(inner->msg)] {
     if (!payload_handler_) {
       ledger::stray(metrics_);
       return;
@@ -288,45 +359,59 @@ void SocketTransport::on_envelope(EnvelopeMsg&& env) {
     ledger::remote_in(metrics_, kind_name(kind));
     payload_handler_(from, to, kind, msg);
   }});
+  return true;
 }
 
-std::uint64_t SocketTransport::redeem(std::uint64_t msg_id) {
+void SocketTransport::hand_off(std::vector<Ready>& batch) {
+  if (batch.empty()) return;
+  bool taken = false;
+  {
+    std::lock_guard<std::mutex> lk(strand_mu_);
+    if (!stopping_) {  // otherwise the strand will never run them
+      inflight_ += batch.size();
+      if (ready_.empty()) {
+        ready_.swap(batch);
+      } else {
+        for (Ready& r : batch) ready_.push_back(std::move(r));
+      }
+      taken = true;
+    }
+  }
+  batch.clear();  // handlers of a stopped runtime die outside the lock
+  if (taken) strand_cv_.notify_one();
+}
+
+void SocketTransport::redeem(std::uint64_t msg_id) {
   auto node = parked_.extract(msg_id);
   if (node.empty()) {
     // Unknown message id: a duplicate or stray frame, or one the sweep
     // already recorded lost. Count and drop.
     ledger::stray(metrics_);
-    return 0;
+    return;
   }
   ledger::delivered(metrics_);
+  --slots_;
   node.mapped().fn();
-  return 1;
 }
 
 void SocketTransport::sweep_parked(Clock::time_point cutoff) {
   // The envelope never came back: the frame died on the wire. Attribute
   // like any other connection loss — but no peer-down report; a lost frame
   // is packet death, not positive evidence the destination process died.
-  std::uint64_t n = 0;
   while (!parked_.empty() && parked_.begin()->second.deadline <= cutoff) {
     ledger::lost(metrics_, parked_.begin()->second.kind,
                  ledger::Cause::kConn);
     parked_.erase(parked_.begin());
-    ++n;
+    --slots_;
   }
-  if (n == 0) return;
-  {
-    std::lock_guard<std::mutex> lk(strand_mu_);
-    inflight_ -= n;
-  }
-  idle_cv_.notify_all();
 }
 
 void SocketTransport::finish_stop() {
   sweep_parked(Clock::time_point::max());
-  std::deque<Ready> ready;
+  std::vector<Ready> ready;
   {
     std::lock_guard<std::mutex> lk(strand_mu_);
+    settle();
     ready.swap(ready_);
     inflight_ -= ready.size();
     torn_down_.store(true, std::memory_order_release);
@@ -340,21 +425,41 @@ void SocketTransport::finish_stop() {
 
 void SocketTransport::dispatch_loop() {
   t_strand_of = this;
+  std::vector<Ready> turn;
+  std::vector<bool*> posted;
   std::unique_lock<std::mutex> lk(strand_mu_);
   while (!stopping_) {
     if (!ready_.empty()) {
-      Ready r = std::move(ready_.front());
-      ready_.pop_front();
+      // One turn: every entry queued so far, then one flush, so the frames
+      // the turn sends leave in one write per destination.
+      turn.swap(ready_);
       lk.unlock();
-      std::uint64_t released = 1;  // the entry's own slot
-      if (r.fn)
-        r.fn();
-      else
-        released += redeem(r.msg_id);
+      Clock::time_point flushed = Clock::now();
+      for (Ready& r : turn) {
+        if (stopping()) break;  // stop() drops queued work
+        if (r.fn)
+          r.fn();
+        else
+          redeem(r.msg_id);
+        if (r.done != nullptr) posted.push_back(r.done);
+        // A long turn flushes every tick. Protocol timeouts are counted in
+        // ticks, and a reply held back for the rest of a long turn would
+        // reach its sender only after the sender's timer had fired.
+        const Clock::time_point now_tp = Clock::now();
+        if (now_tp - flushed >= common_.tick) {
+          flush_outboxes();
+          flushed = now_tp;
+        }
+      }
+      flush_outboxes();
+      const std::size_t ran = turn.size();
+      turn.clear();  // handlers die outside the lock
       lk.lock();
-      inflight_ -= released;
-      if (r.done != nullptr) *r.done = true;
-      idle_cv_.notify_all();
+      inflight_ -= ran;  // each entry's own slot
+      settle();
+      for (bool* done : posted) *done = true;
+      if (!posted.empty() || idle()) idle_cv_.notify_all();
+      posted.clear();
       continue;
     }
     const Clock::time_point now_tp = Clock::now();
@@ -364,19 +469,37 @@ void SocketTransport::dispatch_loop() {
       lk.unlock();
       sweep_parked(now_tp);
       lk.lock();
+      settle();
+      if (idle()) idle_cv_.notify_all();
       continue;
     }
     if (!schedule_.empty() && schedule_.begin()->first.first <= now_tp) {
+      if (schedule_.begin()->second.id != 0 && now_tp < returns_due_ &&
+          looping()) {
+        // The last flush looped frames through the self-wire and they are
+        // not back yet; a due timer (a guard: ack or step timeout) may be
+        // waiting for a reply among them, which would have been processed
+        // first had it been written when it was sent. Wait for them, or
+        // for kLoopWaitTicks if one was lost. Plain events are work, not
+        // guards, and run at once.
+        strand_cv_.wait_until(lk, returns_due_);
+        continue;
+      }
       auto it = schedule_.begin();
       TimerEntry entry = std::move(it->second);
       if (entry.id != 0) timer_keys_.erase(entry.id);
       schedule_.erase(it);
       lk.unlock();
       entry.fn();
+      entry.fn = nullptr;  // the handler dies outside the lock
+      // A timer's frames go out before anything else runs (its heartbeats
+      // and retransmissions must not wait behind the next turn).
+      flush_outboxes();
       lk.lock();
+      settle();
       // Plain events count toward idleness until their handler has run.
       if (entry.id == 0) --pending_events_;
-      idle_cv_.notify_all();
+      if (idle()) idle_cv_.notify_all();
       continue;
     }
     // Sleep until the next timer or parked deadline, whichever is first.

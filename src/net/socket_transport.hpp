@@ -4,15 +4,34 @@
 //
 // Threading: one rule. After set-up, only the dispatch strand mutates the
 // runtime's state — the Metrics registry, the parked-handler table,
-// message ids, the observer / payload / peer-down slots and the outbound
-// sockets. A send or setter called from any other thread is posted to the
-// strand, which runs it while the caller waits; once stop() has returned,
-// calls act directly on the calling thread. The io thread only reads and
-// decodes frames and hands each envelope to the strand.
+// message ids, the outboxes, the observer / payload / peer-down slots and
+// the outbound sockets. A send or setter called from any other thread is
+// posted to the strand, which runs it while the caller waits; once stop()
+// has returned, calls act directly on the calling thread. The io thread
+// only reads and decodes frames and hands them to the strand.
 //
 //   * the dispatch strand: one thread executing delivered handlers, due
 //     timers and posted calls serialized, the simulator's single-event-
-//     loop discipline;
+//     loop discipline. It works in turns: a turn runs every entry the
+//     ready queue held when the turn began, then flushes the outboxes;
+//   * the outboxes: one per destination (the loopback self-wire and each
+//     remote address). send() and send_payload() encode the envelope
+//     straight into the destination's outbox; nothing reaches a socket
+//     until a flush, which hands each destination's frames to the backend
+//     in one write. The strand flushes at the end of every turn (so a
+//     call posted from another thread returns with its frames' fates
+//     decided), within a turn once a tick has passed since the last flush,
+//     after every timer or event it runs (so heartbeats and
+//     retransmissions never wait behind the next turn), and as soon as one
+//     destination holds more than kFlushBytes. Calls that act directly
+//     after stop() flush at once; TcpTransport::sever_wire() flushes
+//     before it cuts. Protocol timeouts count in ticks, so a frame waits
+//     in an outbox for at most about a tick, and after a flush that
+//     looped frames through the self-wire, due cancelable timers (the
+//     guards: ack and step timeouts) wait until those frames have come
+//     back (at most kLoopWaitTicks), so a reply in a batch is not beaten
+//     by the timer guarding it just because it left at the end of the
+//     turn;
 //   * the parked-handler table: closure-based send() parks the delivery
 //     handler, ships an addressed envelope through the backend's wire, and
 //     the strand redeems the handler by message id when the envelope
@@ -27,13 +46,18 @@
 //     and dispatches to its payload handler on its own strand;
 //   * accounting: every fate goes through net/ledger.hpp, so each
 //     process's ledger identities hold over the traffic it originated. A
-//     wire message's fate is recorded before its in-flight slot is
-//     released, so wait_idle() never returns on an open identity.
+//     message records sent() when it is queued; the flush records what the
+//     wire did with its frame — lost() when the frame was not accepted
+//     whole, delivered() for an accepted payload frame, while an accepted
+//     parked frame waits for its envelope — and emits its SendRecord
+//     there. A queued frame holds an in-flight slot, and every fate is
+//     recorded before its slot is released, so wait_idle() never returns
+//     on an open identity or with frames still queued.
 //
-// Backends implement the wire: wire_send() (called on the strand) writes
-// one encoded envelope frame either to the loopback self-wire (remote ==
-// nullptr) or to a remote process's address, and their io threads feed
-// received envelopes back through on_envelope().
+// Backends implement the wire: wire_flush() (called on the strand) writes
+// one destination's queued frames and marks each one the wire refused, and
+// their io threads decode what they read with decode_inbound() and hand
+// each read's envelopes to the strand at once with hand_off().
 #pragma once
 
 #include <netinet/in.h>
@@ -42,7 +66,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -156,6 +179,15 @@ class SocketTransport : public Transport {
  protected:
   using Clock = std::chrono::steady_clock;
 
+  /// A destination's outbox is flushed early once it holds more than this
+  /// many bytes, which bounds both its buffer and one write.
+  static constexpr std::size_t kFlushBytes = 64 * 1024;
+
+  /// Longest a due cancelable timer waits for frames just looped through
+  /// the self-wire to come back: far above a loopback round trip, far
+  /// below the protocol's guard timeouts (30 ticks and up).
+  static constexpr int kLoopWaitTicks = 10;
+
   explicit SocketTransport(CommonConfig common);
 
   /// Why the wire lost a frame, or nullopt once the socket accepted it:
@@ -163,11 +195,31 @@ class SocketTransport : public Transport {
   /// backend's drop model discarded the frame.
   using WireLoss = std::optional<ledger::Cause>;
 
-  /// Writes one encoded envelope frame; runs on the strand. `remote` is
-  /// nullptr for the loopback self-wire (parked-handler mode) or the owning
-  /// process's address for cross-process payload frames.
-  virtual WireLoss wire_send(const std::vector<std::uint8_t>& frame,
-                             const sockaddr_in* remote) = 0;
+  /// One frame waiting in an outbox.
+  struct QueuedFrame {
+    std::size_t end = 0;  ///< offset just past the frame in Outbox::bytes
+    WireLoss loss;        ///< the backend's verdict, set by wire_flush()
+    std::uint64_t msg_id = 0;  ///< its parked handler; 0 = a payload frame
+    MsgKind kind = MsgKind::kOpaque;  ///< a payload frame's kind
+    EndpointId from = 0;
+    EndpointId to = 0;
+    std::size_t bytes = 0;  ///< declared payload bytes (SendRecord)
+  };
+
+  /// Frames queued for one destination, in send order. Strand state.
+  struct Outbox {
+    bool remote = false;  ///< false: the loopback self-wire
+    sockaddr_in addr{};   ///< the owning process's address, when remote
+    std::vector<std::uint8_t> bytes;  ///< the encoded frames, back to back
+    std::vector<QueuedFrame> frames;
+  };
+
+  /// Writes every frame of `box`, in order; runs on the strand. Sets
+  /// `loss` on each frame the wire did not accept whole.
+  virtual void wire_flush(Outbox& box) = 0;
+
+  /// Hands every queued frame to the wire and records each one's fate.
+  void flush_outboxes();
 
   /// Launches the dispatch thread (call once sockets are up).
   void start_dispatch();
@@ -195,14 +247,33 @@ class SocketTransport : public Transport {
     return true;
   }
 
-  /// Inbound envelope, from the backend's io thread: hands it to the
-  /// strand, which redeems the parked handler (empty payload) or
-  /// dispatches the decoded cross-process payload message.
-  void on_envelope(EnvelopeMsg&& env);
+  /// Work queued for the strand; each entry holds one in-flight slot until
+  /// it has run. `fn` is a local send, a remote payload or a posted call;
+  /// when it is empty, the envelope of parked message `msg_id` came back.
+  struct Ready {
+    Handler fn;
+    std::uint64_t msg_id = 0;
+    bool* done = nullptr;  ///< posted call: set once it has run
+  };
+
+  /// Decodes the envelope frame [data, data+len) an io thread read and
+  /// appends the strand's work for it to `batch`: redeeming the parked
+  /// handler (empty payload) or dispatching the decoded cross-process
+  /// payload message. Returns false on a malformed frame (counted in
+  /// decode_errors()).
+  bool decode_inbound(const std::uint8_t* data, std::size_t len,
+                      std::vector<Ready>& batch);
+
+  /// Hands a read's worth of decoded envelopes to the strand under one
+  /// lock with one wake-up, and leaves `batch` empty.
+  void hand_off(std::vector<Ready>& batch);
 
   /// Looks up `id` in the peer-address table. False if it has no address
   /// (the endpoint is local or unknown).
   bool lookup_addr(EndpointId id, sockaddr_in* out) const;
+
+  /// Key of a socket address: one outbox, one connection per process.
+  static std::uint64_t addr_key(const sockaddr_in& sa);
 
   /// Counts one failed envelope/payload decode (decode_errors()).
   void note_decode_error() {
@@ -226,22 +297,38 @@ class SocketTransport : public Transport {
     Handler fn;
   };
 
-  /// Work queued for the strand; each entry holds one in-flight slot until
-  /// it has run. `fn` is a local send, a remote payload or a posted call;
-  /// when it is empty, the envelope of parked message `msg_id` came back.
-  struct Ready {
-    Handler fn;
-    std::uint64_t msg_id = 0;
-    bool* done = nullptr;  ///< posted call: set once it has run
-  };
-
   bool owns_state() const;
   void run_posted(const Handler& call);
   void dispatch_loop();
   void enqueue_ready(Ready r);
-  /// Runs the handler parked under `msg_id` (or records a stray); returns
-  /// the number of parked slots that released.
-  std::uint64_t redeem(std::uint64_t msg_id);
+  /// Encodes envelope_ at the end of `box`; returns the frame's size (0:
+  /// the frame could not be encoded and `box` is unchanged).
+  std::size_t encode_envelope(Outbox& box);
+  /// Queues the frame just encoded into `box`; flushes `box` once it holds
+  /// more than kFlushBytes.
+  void queue_frame(Outbox& box, const QueuedFrame& f);
+  void flush(Outbox& box);
+  /// After stop() there is no strand to flush: a direct call flushes at
+  /// once.
+  void flush_if_detached();
+  /// Applies the strand's slot changes to inflight_; strand_mu_ held.
+  void settle() {
+    inflight_ += static_cast<std::uint64_t>(slots_);
+    slots_ = 0;
+  }
+  /// A frame of the last flush that looped any is still on its way back
+  /// through the self-wire (or was lost there).
+  bool looping() const {
+    const auto it = parked_.lower_bound(loop_lo_);
+    return it != parked_.end() && it->first <= loop_hi_;
+  }
+  /// No message in flight, no queued work, no pending plain event;
+  /// strand_mu_ held.
+  bool idle() const {
+    return inflight_ == 0 && ready_.empty() && pending_events_ == 0;
+  }
+  /// Runs the handler parked under `msg_id` (or records a stray).
+  void redeem(std::uint64_t msg_id);
   /// Records parked entries whose deadline is at or before `cutoff` lost
   /// to the wire.
   void sweep_parked(Clock::time_point cutoff);
@@ -272,6 +359,23 @@ class SocketTransport : public Transport {
   sim::Metrics metrics_;
   SendObserver observer_;
   PeerDownObserver peer_down_;
+  // The outboxes (remote ones keyed by addr_key; node-based, so pointers
+  // into the map stay valid) and those holding frames, to flush.
+  Outbox self_box_;
+  std::unordered_map<std::uint64_t, Outbox> remote_boxes_;
+  std::vector<Outbox*> dirty_;
+  /// Reused to encode every envelope (its payload buffer too), so a send
+  /// allocates no frame.
+  WireMessage envelope_{EnvelopeMsg{}};
+  /// Slots taken (queued frames) minus slots released (fates recorded)
+  /// since the strand last held strand_mu_.
+  std::int64_t slots_ = 0;
+  /// Parked frames [loop_lo_, loop_hi_] went onto the self-wire in the
+  /// last flush that looped any; until returns_due_, due cancelable timers
+  /// wait while one of them has not come back.
+  std::uint64_t loop_lo_ = 0;
+  std::uint64_t loop_hi_ = 0;
+  Clock::time_point returns_due_{};
 
   // The strand's queues. The lock is for every thread that feeds them:
   // the io thread (returned envelopes), timer and schedule_in callers, and
@@ -279,13 +383,14 @@ class SocketTransport : public Transport {
   mutable std::mutex strand_mu_;
   std::condition_variable strand_cv_;
   std::condition_variable idle_cv_;
-  std::deque<Ready> ready_;  ///< delivered, FIFO
+  std::vector<Ready> ready_;  ///< delivered, FIFO; the strand takes it whole
   std::map<ScheduleKey, TimerEntry> schedule_;  ///< timers + plain events
   std::unordered_map<TimerId, ScheduleKey> timer_keys_;  ///< cancel index
   std::uint64_t pending_events_ = 0;  ///< schedule_ entries with id == 0
   std::uint64_t next_timer_ = 1;
   std::uint64_t next_seq_ = 0;
-  /// Parked wire messages plus queued or running ready_ entries.
+  /// Queued frames, parked wire messages, and queued or running ready_
+  /// entries.
   std::uint64_t inflight_ = 0;
   bool stopping_ = false;
   std::atomic<bool> halted_{false};  ///< lock-free mirror of stopping_

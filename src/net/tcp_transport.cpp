@@ -16,24 +16,21 @@ namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
 
-/// Full write with partial-write/EINTR handling. MSG_NOSIGNAL so a peer
-/// closing mid-write surfaces as EPIPE, not a process signal.
-bool write_all(int fd, const std::uint8_t* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
+/// Writes as much of [data, data+len) as the socket accepts, handling
+/// partial writes and EINTR; returns the bytes written (len unless the
+/// connection failed). MSG_NOSIGNAL so a peer closing mid-write surfaces
+/// as EPIPE, not a process signal.
+std::size_t write_all(int fd, const std::uint8_t* data, std::size_t len) {
+  std::size_t done = 0;
+  while (done < len) {
+    const ssize_t n = ::send(fd, data + done, len - done, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      break;
     }
-    data += static_cast<std::size_t>(n);
-    len -= static_cast<std::size_t>(n);
+    done += static_cast<std::size_t>(n);
   }
-  return true;
-}
-
-std::uint64_t addr_key(const sockaddr_in& sa) {
-  return (static_cast<std::uint64_t>(sa.sin_addr.s_addr) << 16) |
-         ntohs(sa.sin_port);
+  return done;
 }
 
 }  // namespace
@@ -137,29 +134,31 @@ void TcpTransport::stop() {
 
 // --- The wire ---------------------------------------------------------------
 
-SocketTransport::WireLoss TcpTransport::wire_send(
-    const std::vector<std::uint8_t>& frame, const sockaddr_in* remote) {
-  constexpr ledger::Cause kDead = ledger::Cause::kConn;
-  if (stopping()) return kDead;
-  if (remote == nullptr) {
-    if (out_fd_ < 0 || !write_all(out_fd_, frame.data(), frame.size()))
-      return kDead;
-    return std::nullopt;
+void TcpTransport::wire_flush(Outbox& box) {
+  // One write for every frame queued to this destination. A frame the
+  // socket did not accept whole is lost with the connection.
+  std::size_t accepted = 0;
+  if (!stopping()) {
+    int* fd = &out_fd_;
+    if (box.remote) {
+      // Cross-process: established lazily and re-established after
+      // failure (a restarted process gets a fresh connection on the next
+      // flush).
+      fd = &remotes_.try_emplace(addr_key(box.addr), -1).first->second;
+      if (*fd < 0) *fd = connect_to(box.addr);
+    }
+    if (*fd >= 0) {
+      accepted = write_all(*fd, box.bytes.data(), box.bytes.size());
+      if (accepted < box.bytes.size() && box.remote) close_fd(*fd);
+    }
   }
-  // Cross-process: established lazily and re-established after failure (a
-  // restarted process gets a fresh connection on the next frame).
-  int& fd = remotes_.try_emplace(addr_key(*remote), -1).first->second;
-  if (fd < 0) fd = connect_to(*remote);
-  if (fd < 0) return kDead;
-  if (!write_all(fd, frame.data(), frame.size())) {
-    close_fd(fd);
-    return kDead;
-  }
-  return std::nullopt;
+  for (QueuedFrame& f : box.frames)
+    if (f.end > accepted) f.loss = ledger::Cause::kConn;
 }
 
 void TcpTransport::sever_wire() {
   if (post_to_strand([this] { sever_wire(); })) return;
+  flush_outboxes();  // frames queued before the cut still go out whole
   if (out_fd_ >= 0) ::shutdown(out_fd_, SHUT_RDWR);
   for (auto& [key, fd] : remotes_)
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
@@ -167,39 +166,33 @@ void TcpTransport::sever_wire() {
 
 // --- IO thread --------------------------------------------------------------
 
-bool TcpTransport::drain_buffer(std::vector<std::uint8_t>& buf) {
+std::optional<std::size_t> TcpTransport::decode_stream(
+    const std::uint8_t* data, std::size_t len, std::vector<Ready>& batch) {
   std::size_t off = 0;
   while (true) {
-    const std::optional<std::size_t> need =
-        frame_size(buf.data() + off, buf.size() - off);
+    const std::optional<std::size_t> need = frame_size(data + off, len - off);
     if (!need.has_value()) {
       note_decode_error();
-      return false;  // malformed header: drop the connection
+      return std::nullopt;  // malformed header: drop the connection
     }
-    if (*need == 0 || *need > buf.size() - off) break;  // incomplete frame
-    std::optional<DecodedFrame> frame =
-        decode_frame(buf.data() + off, *need);
-    if (!frame.has_value() || frame->kind != MsgKind::kEnvelope) {
-      note_decode_error();
-      return false;
-    }
-    on_envelope(std::get<EnvelopeMsg>(std::move(frame->msg)));
+    if (*need == 0 || *need > len - off) return off;  // incomplete frame
+    if (!decode_inbound(data + off, *need, batch)) return std::nullopt;
     off += *need;
   }
-  if (off > 0) buf.erase(buf.begin(), buf.begin() + static_cast<long>(off));
-  return true;
 }
 
 void TcpTransport::io_loop() {
   struct Conn {
     int fd;
-    std::vector<std::uint8_t> buf;
+    std::vector<std::uint8_t> buf;  ///< an incomplete frame's bytes
   };
   std::vector<Conn> conns;
+  std::vector<pollfd> fds;
+  std::vector<Ready> batch;
 
   while (true) {
     if (stopping()) break;
-    std::vector<pollfd> fds;
+    fds.clear();
     fds.push_back({listen_fd_, POLLIN, 0});
     fds.push_back({wake_pipe_[0], POLLIN, 0});
     for (const Conn& c : conns) fds.push_back({c.fd, POLLIN, 0});
@@ -222,16 +215,30 @@ void TcpTransport::io_loop() {
       std::uint8_t chunk[kReadChunk];
       const ssize_t n = ::recv(c.fd, chunk, sizeof(chunk), 0);
       if (n > 0) {
-        c.buf.insert(c.buf.end(), chunk, chunk + n);
-        if (!drain_buffer(c.buf)) {
+        // Decode every complete frame of the chunk (after the bytes left
+        // over from the last read); keep the incomplete tail.
+        const bool buffered = !c.buf.empty();
+        if (buffered) c.buf.insert(c.buf.end(), chunk, chunk + n);
+        const std::uint8_t* data = buffered ? c.buf.data() : chunk;
+        const std::size_t len =
+            buffered ? c.buf.size() : static_cast<std::size_t>(n);
+        const std::optional<std::size_t> used =
+            decode_stream(data, len, batch);
+        if (!used.has_value()) {
           ::close(c.fd);
           c.fd = -1;  // decode error: drop below
+        } else if (buffered) {
+          c.buf.erase(c.buf.begin(), c.buf.begin() + static_cast<long>(*used));
+        } else {
+          c.buf.assign(data + *used, data + len);
         }
       } else if (n == 0 || (n < 0 && errno != EINTR)) {
         ::close(c.fd);
         c.fd = -1;  // closed or errored
       }
     }
+    // Everything this poll round read reaches the strand at once.
+    hand_off(batch);
     for (std::size_t i = conns.size(); i-- > 0;) {
       if (conns[i].fd < 0) {
         conns.erase(conns.begin() + static_cast<long>(i));

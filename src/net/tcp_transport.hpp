@@ -4,16 +4,20 @@
 //
 // Architecture (per instance):
 //
-//   the strand ──send()──► envelope codec ──write──► loopback TCP ─────┐
+//   the strand ──send()──► envelope codec ──► outbox (one per destination)
+//                                                │ flush: one send() of all
+//                                                ▼ queued frames
+//                                        loopback TCP ─────────────────┐
 //                                                                      │
 //   io thread: poll() over the listen socket + accepted connections ◄──┘
-//     reads byte streams, reassembles frames (net/wire.hpp) and hands each
-//     envelope to the strand — decoding the inner message first for
-//     frames that carry a payload
+//     reads byte streams, reassembles frames (net/wire.hpp), decodes every
+//     complete frame of a read — the inner message too, for frames that
+//     carry a payload — and hands them to the strand in one batch
 //
-//   dispatch thread ("the strand"): redeems parked handlers and runs
-//     delivered handlers, due timers and sends posted from other threads,
-//     one at a time, in arrival/deadline order
+//   dispatch thread ("the strand"): in turns, redeems parked handlers and
+//     runs delivered handlers and sends posted from other threads, in
+//     arrival order, then flushes the outboxes; between turns it flushes
+//     again and runs due timers in deadline order
 //
 // Two kinds of traffic share the wire (see net/socket_transport.hpp and
 // docs/PROTOCOL.md "Addressing & delivery"):
@@ -25,10 +29,11 @@
 //    per-address outbound connection to the owning process, whose io
 //    thread decodes it and whose strand dispatches it.
 //
-// Threading, accounting parity and time semantics are the SocketTransport
-// base contract: after set-up only the strand mutates, and other threads
-// are posted there. The outbound sockets are strand state, so they need no
-// locks. This class owns only the sockets: the listen socket + one
+// Threading, accounting parity, batching and time semantics are the
+// SocketTransport base contract: after set-up only the strand mutates, and
+// other threads are posted there; a flush records each frame's fate, and a
+// frame the socket did not accept whole is a connection loss. The outbound
+// sockets are strand state, so they need no locks. This class owns only the sockets: the listen socket + one
 // loopback self-wire connection, lazily-connected per-address remote
 // connections, and the io thread that feeds frames back to the base.
 #pragma once
@@ -80,21 +85,24 @@ class TcpTransport final : public SocketTransport {
 
   void stop() override;
 
-  /// Test/fault hook: shuts down every outbound wire connection (the
-  /// self-wire and remote connections), so each subsequent wire send fails
-  /// deterministically (and is accounted net.dropped.conn,
-  /// SendRecord.lost = true). Frames already written still drain to the
-  /// reader — the cut is clean at a frame boundary, never mid-frame.
+  /// Test/fault hook: flushes the outboxes, then shuts down every outbound
+  /// wire connection (the self-wire and remote connections), so each
+  /// frame flushed later fails deterministically (and is accounted
+  /// net.dropped.conn, SendRecord.lost = true). Frames queued or written
+  /// before the call still drain to the reader — the cut is clean at a
+  /// frame boundary, never mid-frame.
   void sever_wire();
 
  private:
-  WireLoss wire_send(const std::vector<std::uint8_t>& frame,
-                     const sockaddr_in* remote) override;
+  void wire_flush(Outbox& box) override;
 
   void io_loop();
-  /// Parses complete frames out of a connection's read buffer; returns
-  /// false when the connection must be dropped (decode error).
-  bool drain_buffer(std::vector<std::uint8_t>& buf);
+  /// Decodes the complete frames at the front of a connection's byte
+  /// stream into `batch`; returns the bytes they took, or nullopt when the
+  /// connection must be dropped (decode error).
+  std::optional<std::size_t> decode_stream(const std::uint8_t* data,
+                                           std::size_t len,
+                                           std::vector<Ready>& batch);
   int connect_loopback();
   int connect_to(const sockaddr_in& addr);
   void close_fd(int& fd);

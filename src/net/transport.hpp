@@ -194,8 +194,10 @@ class Transport {
   virtual const sim::Metrics& metrics() const = 0;
 
   /// Installs (or, with nullptr, removes) a per-send observer — the tracing
-  /// hook (see src/obs). Invoked synchronously from send(); keep it cheap.
-  /// The observer must outlive the transport or be removed first.
+  /// hook (see src/obs). Invoked once the backend has decided the frame's
+  /// fate: synchronously from send() on the simulator, at the outbox flush
+  /// on the socket backends. Keep it cheap, and do not send from it. The
+  /// observer must outlive the transport or be removed first.
   virtual void set_send_observer(SendObserver fn) = 0;
 
  protected:

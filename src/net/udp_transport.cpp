@@ -76,27 +76,35 @@ void UdpTransport::stop() {
   finish_stop();
 }
 
-SocketTransport::WireLoss UdpTransport::wire_send(
-    const std::vector<std::uint8_t>& frame, const sockaddr_in* remote) {
-  constexpr ledger::Cause kDead = ledger::Cause::kConn;
-  if (stopping()) return kDead;
-  if (frame.size() > kMaxDatagram) return kDead;
-  const sockaddr_in dest = remote != nullptr ? *remote : self_addr_;
-  if (fd_ < 0) return kDead;
-  // The seeded drop model: the frame dies here, exactly where a real
-  // congested path would discard the datagram.
+void UdpTransport::wire_flush(Outbox& box) {
+  // One datagram per frame, so the drop model decides frame by frame.
+  const sockaddr_in dest = box.remote ? box.addr : self_addr_;
   const std::uint64_t ppm = drop_ppm_.load(std::memory_order_relaxed);
-  if (ppm > 0 && drop_rng_.next_below(1000000) < ppm)
-    return ledger::Cause::kFault;
-  const ssize_t n =
-      ::sendto(fd_, frame.data(), frame.size(), 0,
-               reinterpret_cast<const sockaddr*>(&dest), sizeof(dest));
-  if (n != static_cast<ssize_t>(frame.size())) return kDead;
-  return std::nullopt;
+  std::size_t begin = 0;
+  for (QueuedFrame& f : box.frames) {
+    const std::uint8_t* data = box.bytes.data() + begin;
+    const std::size_t size = f.end - begin;
+    begin = f.end;
+    if (stopping() || size > kMaxDatagram || fd_ < 0) {
+      f.loss = ledger::Cause::kConn;
+      continue;
+    }
+    // The seeded drop model: the frame dies here, exactly where a real
+    // congested path would discard the datagram.
+    if (ppm > 0 && drop_rng_.next_below(1000000) < ppm) {
+      f.loss = ledger::Cause::kFault;
+      continue;
+    }
+    const ssize_t n =
+        ::sendto(fd_, data, size, 0, reinterpret_cast<const sockaddr*>(&dest),
+                 sizeof(dest));
+    if (n != static_cast<ssize_t>(size)) f.loss = ledger::Cause::kConn;
+  }
 }
 
 void UdpTransport::io_loop() {
   std::vector<std::uint8_t> buf(64 * 1024);
+  std::vector<Ready> batch;
   while (true) {
     if (stopping()) break;
     pollfd fds[2] = {{fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
@@ -105,21 +113,18 @@ void UdpTransport::io_loop() {
       break;
     }
     if ((fds[0].revents & POLLIN) == 0) continue;
-    while (true) {
+    // Every datagram waiting now reaches the strand in one hand-off (at
+    // most kMaxBatch at a time, so a flood cannot starve the strand).
+    while (batch.size() < kMaxBatch) {
       const ssize_t n =
           ::recvfrom(fd_, buf.data(), buf.size(), MSG_DONTWAIT, nullptr,
                      nullptr);
       if (n <= 0) break;
       // One datagram, one frame: no reassembly. A malformed or truncated
       // datagram is counted and dropped; the socket lives on.
-      std::optional<DecodedFrame> frame =
-          decode_frame(buf.data(), static_cast<std::size_t>(n));
-      if (!frame.has_value() || frame->kind != MsgKind::kEnvelope) {
-        note_decode_error();
-        continue;
-      }
-      on_envelope(std::get<EnvelopeMsg>(std::move(frame->msg)));
+      decode_inbound(buf.data(), static_cast<std::size_t>(n), batch);
     }
+    hand_off(batch);
   }
 }
 

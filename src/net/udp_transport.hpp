@@ -7,21 +7,23 @@
 //
 // Architecture (per instance): one loopback UDP socket, bound ephemeral.
 // Self-wire frames (parked-handler sends) and cross-process payload frames
-// (peer-address table) both go out as single datagrams via sendto() on the
-// strand; the io thread recvfrom()s whole envelopes — no stream
-// reassembly, datagram boundaries are frame boundaries — and hands them to
-// the strand exactly like the TCP backend. Threading is the
+// (peer-address table) wait in the base's per-destination outboxes; a
+// flush sends each queued frame as its own datagram via sendto() on the
+// strand, so the drop model still decides frame by frame. The io thread
+// recvfrom()s whole envelopes — no stream reassembly, datagram boundaries
+// are frame boundaries — and hands every datagram waiting at a wake-up to
+// the strand in one batch, exactly like the TCP backend. Threading is the
 // SocketTransport rule: after set-up only the strand mutates (the socket's
 // send side and the drop-model RNG included), and other threads are posted
 // there; set_drop_rate() alone writes an atomic from any thread.
 //
 // Loss semantics (the ledger's lost fate, docs/ROBUSTNESS.md):
-//  * the seeded drop model discards a frame at send time — lost to a
-//    fault, like a sim drop model, with no peer-down report (packet loss
-//    is not peer death);
+//  * the seeded drop model discards a frame when its outbox is flushed —
+//    lost to a fault, like a sim drop model, with no peer-down report
+//    (packet loss is not peer death);
 //  * a frame the kernel or the read side swallows (buffer overrun,
 //    drop_inbound), or one larger than a datagram (kMaxDatagram), is lost
-//    to the wire: the send or the parked-handler sweep records it.
+//    to the wire: the flush or the parked-handler sweep records it.
 // Retransmission above (OverlayIndex / PeerSlice step timers) is what
 // masks the loss from the application.
 //
@@ -72,15 +74,18 @@ class UdpTransport final : public SocketTransport {
 
   const Config& config() const noexcept { return cfg_; }
 
-  /// Re-arms the seeded drop model (0 disarms). Applies to frames sent
-  /// after the call.
+  /// Re-arms the seeded drop model (0 disarms). Applies to frames flushed
+  /// after the call (a send from another thread is flushed before it
+  /// returns).
   void set_drop_rate(double rate);
 
   void stop() override;
 
  private:
-  WireLoss wire_send(const std::vector<std::uint8_t>& frame,
-                     const sockaddr_in* remote) override;
+  /// Most datagrams one read hands to the strand at once.
+  static constexpr std::size_t kMaxBatch = 256;
+
+  void wire_flush(Outbox& box) override;
   void io_loop();
 
   Config cfg_;
@@ -90,7 +95,7 @@ class UdpTransport final : public SocketTransport {
   std::uint16_t port_ = 0;
   sockaddr_in self_addr_{};
 
-  Rng drop_rng_;  ///< drawn by wire_send, on the strand
+  Rng drop_rng_;  ///< drawn by wire_flush, on the strand
   std::atomic<std::uint64_t> drop_ppm_{0};  ///< drop_rate in parts-per-million
 
   std::thread io_thread_;

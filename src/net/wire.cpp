@@ -8,8 +8,12 @@ namespace {
 
 // --- Primitives -------------------------------------------------------------
 
+/// Appends to a caller-owned buffer, so a frame can be encoded straight
+/// into an outbox.
 class Writer {
  public:
+  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
+
   void u8(std::uint8_t v) { out_.push_back(v); }
   void u16(std::uint16_t v) {
     out_.push_back(static_cast<std::uint8_t>(v));
@@ -39,10 +43,10 @@ class Writer {
     u32(static_cast<std::uint32_t>(v.size()));
     out_.insert(out_.end(), v.begin(), v.end());
   }
-  std::vector<std::uint8_t> take() { return std::move(out_); }
+  void zeros(std::size_t n) { out_.insert(out_.end(), n, 0); }
 
  private:
-  std::vector<std::uint8_t> out_;
+  std::vector<std::uint8_t>& out_;
 };
 
 /// Bounds-checked reader. Every accessor validates the remaining length
@@ -291,7 +295,7 @@ void put(Writer& w, const EnvelopeMsg& m) {
   w.u64(m.declared_bytes);
   w.bytes(m.payload);
   w.u32(m.pad);
-  for (std::uint32_t i = 0; i < m.pad; ++i) w.u8(0);
+  w.zeros(m.pad);
 }
 
 template <typename T>
@@ -574,23 +578,33 @@ std::optional<MsgKind> kind_of(const std::string& name) {
   return it->second;
 }
 
-std::vector<std::uint8_t> encode_frame(MsgKind kind, const WireMessage& msg) {
+bool encode_frame_into(MsgKind kind, const WireMessage& msg,
+                       std::vector<std::uint8_t>& out) {
   const KindEntry* e = entry_of(kind);
-  if (e == nullptr || e->layout != msg.index()) return {};
-  Writer body;
-  std::visit([&body](const auto& m) { put(body, m); }, msg);
-  std::vector<std::uint8_t> b = body.take();
-  if (b.size() > kMaxBody) return {};
-
-  Writer w;
+  if (e == nullptr || e->layout != msg.index()) return false;
+  const std::size_t start = out.size();
+  Writer w(out);
   w.u16(kWireMagic);
   w.u8(kWireVersion);
   w.u8(0);
   w.u16(static_cast<std::uint16_t>(kind));
   w.u16(0);
-  w.u32(static_cast<std::uint32_t>(b.size()));
-  std::vector<std::uint8_t> out = w.take();
-  out.insert(out.end(), b.begin(), b.end());
+  w.u32(0);  // body length, patched once the body is written
+  std::visit([&w](const auto& m) { put(w, m); }, msg);
+  const std::size_t body = out.size() - start - kWireHeaderSize;
+  if (body > kMaxBody) {
+    out.resize(start);
+    return false;
+  }
+  for (int i = 0; i < 4; ++i)
+    out[start + kWireHeaderSize - 4 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(body >> (8 * i));
+  return true;
+}
+
+std::vector<std::uint8_t> encode_frame(MsgKind kind, const WireMessage& msg) {
+  std::vector<std::uint8_t> out;
+  if (!encode_frame_into(kind, msg, out)) return {};
   return out;
 }
 

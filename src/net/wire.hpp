@@ -356,6 +356,12 @@ using WireMessage =
 /// encode never otherwise produces).
 std::vector<std::uint8_t> encode_frame(MsgKind kind, const WireMessage& msg);
 
+/// Appends one frame to `out` (the append-into form of encode_frame, so a
+/// sender can encode straight into a reused buffer). Returns false, leaving
+/// `out` as it was, on a layout mismatch or an oversized body.
+bool encode_frame_into(MsgKind kind, const WireMessage& msg,
+                       std::vector<std::uint8_t>& out);
+
 struct DecodedFrame {
   MsgKind kind = MsgKind::kOpaque;
   WireMessage msg;

@@ -585,6 +585,117 @@ TEST(TcpTransport, ParkedHandlerSweepReclaimsFramesDeadOnTheWire) {
   EXPECT_TRUE(t.drain_and_stop(std::chrono::milliseconds{2000}));
 }
 
+// --- Outbox batching ----------------------------------------------------------
+
+// One strand handler sends more frames than one outbox holds (the 64 KiB
+// flush bound), so its frames leave in several writes: every one arrives,
+// in send order, and the ledger closes.
+TEST(TcpTransport, OneTurnsFramesArriveInSendOrderAcrossFlushes) {
+  TcpTransport t(fast_config());
+  t.register_endpoint(1);
+  t.register_endpoint(2);
+  constexpr int kFrames = 5000;
+  std::vector<int> order;  // written on the strand, read after wait_idle
+  t.schedule_in(0, [&] {
+    for (int i = 0; i < kFrames; ++i)
+      t.send(1, 2, "kws.t_query", 64, [&order, i] { order.push_back(i); });
+  });
+  ASSERT_TRUE(t.wait_idle(kIdle));
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kFrames));
+  for (int i = 0; i < kFrames; ++i) ASSERT_EQ(order[i], i);
+  EXPECT_GT(t.metrics().counter("net.wire_bytes"), 2u * 64 * 1024);
+  EXPECT_EQ(t.metrics().counter("net.delivered"),
+            static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(ledger::identity_error(t.metrics()), "");
+  EXPECT_EQ(t.decode_errors(), 0u);
+}
+
+// sever_wire() with frames still queued flushes them before it cuts: those
+// are delivered, and every frame queued after the cut is a connection loss
+// the observer sees as lost, with one peer-down report per endpoint.
+TEST(TcpTransport, SeverDeliversFramesQueuedBeforeTheCut) {
+  TcpTransport t(fast_config());
+  for (EndpointId id = 1; id <= 3; ++id) t.register_endpoint(id);
+  std::mutex mu;
+  std::vector<bool> lost;  // SendRecord.lost, in observation order
+  std::vector<EndpointId> down;
+  t.set_send_observer([&](const std::string&, const SendRecord& rec) {
+    std::lock_guard<std::mutex> lk(mu);
+    lost.push_back(rec.lost);
+  });
+  t.set_peer_down_observer([&](EndpointId ep) {
+    std::lock_guard<std::mutex> lk(mu);
+    down.push_back(ep);
+  });
+  std::atomic<int> before{0};
+  std::atomic<int> after{0};
+  t.schedule_in(0, [&] {
+    for (int i = 0; i < 10; ++i)
+      t.send(1, 2, "kws.t_query", 64, [&before] { ++before; });
+    t.sever_wire();  // on the strand: the ten frames are still queued
+    for (int i = 0; i < 4; ++i)
+      t.send(1, 2, "kws.t_query", 64, [&after] { ++after; });
+    t.send(1, 3, "kws.t_query", 64, [&after] { ++after; });
+  });
+  ASSERT_TRUE(t.wait_idle(kIdle));
+  EXPECT_EQ(before.load(), 10);
+  EXPECT_EQ(after.load(), 0);
+  EXPECT_EQ(t.metrics().counter("net.delivered"), 10u);
+  EXPECT_EQ(t.metrics().counter("net.lost"), 5u);
+  EXPECT_EQ(t.metrics().counter("net.dropped.conn"), 5u);
+  EXPECT_EQ(ledger::identity_error(t.metrics()), "");
+  std::lock_guard<std::mutex> lk(mu);
+  ASSERT_EQ(lost.size(), 15u);
+  for (std::size_t i = 0; i < lost.size(); ++i)
+    EXPECT_EQ(lost[i], i >= 10) << "frame " << i;
+  std::sort(down.begin(), down.end());
+  EXPECT_EQ(down, (std::vector<EndpointId>{2, 3}));
+}
+
+// UDP keeps one datagram per frame inside a flush, so its seeded drop model
+// still decides frame by frame: a run whose 200 frames leave in one turn
+// loses exactly the frames a run flushing each frame alone loses, each one
+// attributed to the model (net.dropped.fault).
+TEST(UdpTransport, BatchedFramesKeepPerDatagramDropAttribution) {
+  const auto delivered = [](bool one_turn) {
+    UdpTransport::Config cfg;
+    cfg.drop_rate = 0.3;
+    cfg.seed = 11;
+    UdpTransport t(cfg);
+    t.register_endpoint(1);
+    t.register_endpoint(2);
+    std::atomic<std::uint64_t> seen_lost{0};
+    t.set_send_observer([&](const std::string&, const SendRecord& rec) {
+      if (rec.lost) ++seen_lost;
+    });
+    constexpr int kFrames = 200;
+    std::vector<int> ran;  // written on the strand, read after wait_idle
+    const auto send = [&](int i) {
+      t.send(1, 2, "kws.t_query", 64, [&ran, i] { ran.push_back(i); });
+    };
+    if (one_turn) {
+      t.schedule_in(0, [&] {
+        for (int i = 0; i < kFrames; ++i) send(i);
+      });
+    } else {
+      for (int i = 0; i < kFrames; ++i) send(i);  // each flushed alone
+    }
+    EXPECT_TRUE(t.wait_idle(kIdle));
+    const std::uint64_t lost = kFrames - ran.size();
+    EXPECT_EQ(ledger::identity_error(t.metrics()), "");
+    EXPECT_EQ(t.metrics().counter("net.dropped.fault"), lost);
+    EXPECT_EQ(t.metrics().counter("net.dropped.conn"), 0u);
+    EXPECT_EQ(seen_lost.load(), lost);
+    std::sort(ran.begin(), ran.end());
+    return ran;
+  };
+  const std::vector<int> batched = delivered(true);
+  const std::vector<int> alone = delivered(false);
+  EXPECT_EQ(batched, alone);
+  EXPECT_GT(batched.size(), 0u);
+  EXPECT_LT(batched.size(), 200u);
+}
+
 // Sends after stop() act directly on the caller's thread against a wire
 // that is gone: they must be counted losses, not crashes (originally a
 // division by zero in the self-wire's lane selection).

@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the primitives every operation is
 // built from: hashing, hypercube math, SBT traversal, index-table access,
-// searches, and DHT lookups.
+// searches, DHT lookups, and the simulator's event queue and message path.
 #include <benchmark/benchmark.h>
 
 #include "common/hash.hpp"
@@ -12,6 +12,7 @@
 #include "index/keyword_hash.hpp"
 #include "index/logical_index.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/network.hpp"
 
 namespace {
 
@@ -160,5 +161,37 @@ void BM_EventQueueThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
 }
 BENCHMARK(BM_EventQueueThroughput);
+
+// One simulated message: Network::send (ledger, latency draw, delivery
+// event) plus popping and running its delivery.
+void BM_SimMessage(benchmark::State& state) {
+  sim::EventQueue clock;
+  sim::Network net(clock);
+  net.register_endpoint(1);
+  net.register_endpoint(2);
+  const std::string kind = "kws.t_query";
+  std::uint64_t delivered = 0;
+  for (auto _ : state) {
+    net.send(1, 2, kind, 64, [&delivered] { ++delivered; });
+    clock.step();
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SimMessage);
+
+// Arm and cancel a protocol guard timer (the retransmission timer of a
+// step answered in time) among 1000 pending events.
+void BM_TimerSetCancel(benchmark::State& state) {
+  sim::EventQueue q;
+  for (int i = 0; i < 1000; ++i)
+    q.schedule_in(static_cast<sim::Time>(1000000 + i), [] {});
+  for (auto _ : state) {
+    const auto id = q.set_timer(50, [] {});
+    benchmark::DoNotOptimize(q.cancel_timer(id));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TimerSetCancel);
 
 }  // namespace

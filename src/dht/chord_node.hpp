@@ -5,7 +5,6 @@
 // peer would have locally.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -43,12 +42,29 @@ class ChordNode final : public OverlayNode {
 
   /// Best local next hop toward `key`: the finger or successor-list entry
   /// closest to (but strictly preceding) the key, per Chord. Links failing
-  /// `alive` are skipped (modelling contact timeouts — this covers both
-  /// failed and departed peers). Returns nullopt when no live link
-  /// strictly precedes the key.
-  std::optional<RingId> closest_preceding(
-      RingId key, const RingSpace& space,
-      const std::function<bool(RingId)>& alive) const;
+  /// `alive(RingId) -> bool` are skipped (modelling contact timeouts — this
+  /// covers both failed and departed peers). Returns nullopt when no live
+  /// link strictly precedes the key. A template so the liveness test on
+  /// every routing hop inlines instead of going through std::function.
+  template <class Alive>
+  std::optional<RingId> closest_preceding(RingId key, const RingSpace& space,
+                                          const Alive& alive) const {
+    // Scan fingers and the successor list for the live link closest to
+    // (but strictly before) the key. Local knowledge only. Liveness is the
+    // costly test and a pure filter, so it runs last, on candidates that
+    // would otherwise become the best.
+    std::optional<RingId> best;
+    auto consider = [&](RingId candidate) {
+      if (candidate == id() || !space.in_interval_oo(candidate, id(), key))
+        return;
+      if (best && !space.in_interval_oo(*best, id(), candidate)) return;
+      if (alive(candidate)) best = candidate;
+    };
+    for (auto it = fingers_.rbegin(); it != fingers_.rend(); ++it)
+      if (it->has_value()) consider(**it);
+    for (RingId s : successors_) consider(s);
+    return best;
+  }
 
  private:
   std::vector<std::optional<RingId>> fingers_;

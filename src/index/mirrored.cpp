@@ -24,6 +24,7 @@ MirroredIndex::MirroredIndex(dht::Dolr& dolr, OverlayIndex::Config cfg)
 void MirroredIndex::publish(sim::EndpointId publisher, ObjectId object,
                             const KeywordSet& keywords,
                             OverlayIndex::PublishCallback done) {
+  withdrawing_.erase({object, keywords});
   primary_->publish(
       publisher, object, keywords,
       [this, publisher, object, keywords, done = std::move(done)](
@@ -37,11 +38,15 @@ void MirroredIndex::publish(sim::EndpointId publisher, ObjectId object,
 void MirroredIndex::withdraw(sim::EndpointId publisher, ObjectId object,
                              const KeywordSet& keywords,
                              OverlayIndex::WithdrawCallback done) {
+  withdrawing_.insert({object, keywords});
   primary_->withdraw(
       publisher, object, keywords,
       [this, publisher, object, keywords, done = std::move(done)](
           const OverlayIndex::WithdrawResult& r) {
-        if (r.index_removed) mirror_->deindex(publisher, object, keywords);
+        if (r.index_removed)
+          mirror_->deindex(publisher, object, keywords);
+        else
+          withdrawing_.erase({object, keywords});  // other copies remain
         if (done) done(r);
       });
 }
@@ -176,7 +181,7 @@ void MirroredIndex::purge_dead() {
 }
 
 std::size_t MirroredIndex::missing_entries(const OverlayIndex& src,
-                                           const OverlayIndex& dst) {
+                                           const OverlayIndex& dst) const {
   const dht::Overlay& overlay = src.dolr().overlay();
   std::size_t missing = 0;
   src.for_each_entry([&](cube::CubeId, const KeywordSet& k, ObjectId o,
@@ -184,7 +189,7 @@ std::size_t MirroredIndex::missing_entries(const OverlayIndex& src,
     // Entries still held for a dead peer are about to be purged; only a
     // live copy can seed the other cube.
     if (!overlay.is_live(holder)) return;
-    if (!dst.has_entry(k, o)) ++missing;
+    if (!dst.has_entry(k, o) && !withdrawing(o, k)) ++missing;
   });
   return missing;
 }
@@ -196,6 +201,11 @@ std::uint64_t MirroredIndex::resync(std::size_t max_entries) {
     KeywordSet keywords;
     bool into_mirror;
   };
+  // A tombstone has done its job once the mirror's deindex has landed.
+  std::erase_if(withdrawing_, [this](const auto& w) {
+    return !primary_->has_entry(w.second, w.first) &&
+           !mirror_->has_entry(w.second, w.first);
+  });
   std::vector<Seed> seeds;
   const auto collect = [&](const OverlayIndex& src, const OverlayIndex& dst,
                            bool into_mirror) {
@@ -204,7 +214,7 @@ std::uint64_t MirroredIndex::resync(std::size_t max_entries) {
                            sim::EndpointId holder) {
       if (seeds.size() >= max_entries) return;
       if (!overlay.is_live(holder)) return;
-      if (dst.has_entry(k, o)) return;
+      if (dst.has_entry(k, o) || withdrawing(o, k)) return;
       seeds.push_back(Seed{holder, o, k, into_mirror});
     });
   };

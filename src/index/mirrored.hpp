@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <set>
 #include <unordered_map>
 #include <utility>
 
@@ -68,11 +69,13 @@ class MirroredIndex {
   /// one cube holds (at a live peer) and the other lost with a failed peer,
   /// issues a routed reindex into the missing side. Idempotent; repeated
   /// budgeted calls converge until both cubes index the same entry set.
+  /// Entries of a withdraw in progress are skipped (see withdrawing_).
   /// Returns reindex messages issued.
   std::uint64_t resync(std::size_t max_entries);
 
   /// Entries currently present in one cube but missing from the other —
-  /// the mirror-resync backlog the maintenance plane drains.
+  /// the mirror-resync backlog the maintenance plane drains. Entries of a
+  /// withdraw in progress are not backlog.
   std::size_t resync_backlog() const;
 
   /// Failovers observed at merge time: searches where exactly one cube
@@ -96,9 +99,13 @@ class MirroredIndex {
   /// Merges two finished results (union by object id, summed costs);
   /// detects and counts single-cube failovers.
   SearchResult merge(const SearchResult& a, const SearchResult& b);
-  /// Entries `src` holds at live peers that `dst` does not index.
-  static std::size_t missing_entries(const OverlayIndex& src,
-                                     const OverlayIndex& dst);
+  /// Entries `src` holds at live peers that `dst` does not index, less
+  /// those of a withdraw in progress.
+  std::size_t missing_entries(const OverlayIndex& src,
+                              const OverlayIndex& dst) const;
+  bool withdrawing(ObjectId object, const KeywordSet& keywords) const {
+    return !withdrawing_.empty() && withdrawing_.contains({object, keywords});
+  }
 
   std::unique_ptr<OverlayIndex> primary_;
   std::unique_ptr<OverlayIndex> mirror_;
@@ -107,6 +114,13 @@ class MirroredIndex {
   /// In-flight superset tickets -> the two underlying request ids.
   std::unordered_map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
       active_;
+  /// Withdraw tombstones. A withdraw deletes the primary entry first and
+  /// the mirror entry one fire-and-forget deindex later; in between, the
+  /// cubes disagree, and a resync would copy the mirror entry back into
+  /// the primary, reviving the withdrawn object. Set when the withdraw
+  /// starts; cleared when it removed no index entry, once neither cube
+  /// holds the entry any more, or when the object is published again.
+  std::set<std::pair<ObjectId, KeywordSet>> withdrawing_;
   std::uint64_t next_ticket_ = 1;
 };
 

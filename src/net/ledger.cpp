@@ -1,8 +1,16 @@
 #include "net/ledger.hpp"
 
 namespace hkws::net::ledger {
+namespace {
 
-void local(sim::Metrics& m) { m.count("net.local"); }
+// Metrics::slot ids of the counters bumped on every message.
+enum Slot : std::size_t { kMessages, kBytes, kWireBytes, kDelivered, kLocal,
+                          kCharged };
+enum Family : std::size_t { kMsgKind };  // msg.<kind>
+
+}  // namespace
+
+void local(sim::Metrics& m) { ++m.slot(kLocal, "net.local"); }
 
 void unregistered(sim::Metrics& m, const std::string& kind) {
   m.count("net.dropped");
@@ -12,13 +20,13 @@ void unregistered(sim::Metrics& m, const std::string& kind) {
 
 void sent(sim::Metrics& m, const std::string& kind, std::size_t bytes,
           std::size_t wire_bytes) {
-  m.count("net.messages");
-  m.count("net.bytes", bytes);
-  if (wire_bytes != 0) m.count("net.wire_bytes", wire_bytes);
-  m.count("msg." + kind);
+  ++m.slot(kMessages, "net.messages");
+  m.slot(kBytes, "net.bytes") += bytes;
+  if (wire_bytes != 0) m.slot(kWireBytes, "net.wire_bytes") += wire_bytes;
+  ++m.slot(kMsgKind, "msg.", kind);
 }
 
-void delivered(sim::Metrics& m) { m.count("net.delivered"); }
+void delivered(sim::Metrics& m) { ++m.slot(kDelivered, "net.delivered"); }
 
 void lost(sim::Metrics& m, const std::string& kind, Cause why) {
   m.count("net.lost");
@@ -27,9 +35,9 @@ void lost(sim::Metrics& m, const std::string& kind, Cause why) {
 }
 
 void charged(sim::Metrics& m, const std::string& kind) {
-  m.count("net.messages");
-  m.count("msg." + kind);
-  m.count("net.charged");
+  ++m.slot(kMessages, "net.messages");
+  ++m.slot(kMsgKind, "msg.", kind);
+  ++m.slot(kCharged, "net.charged");
 }
 
 void dup(sim::Metrics& m, std::uint64_t n) { m.count("net.dup", n); }

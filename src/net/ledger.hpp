@@ -10,6 +10,11 @@
 //   net.messages == net.delivered + net.lost + net.charged  (conservation)
 //   net.lost == net.dropped.fault + net.dropped.conn        (attribution)
 //
+// The per-message fates (sent, delivered, local, charged) write through
+// Metrics counter slots: each counter, msg.<kind> included, is looked up
+// once per registry and then bumped in place, with no string built. The
+// rarer fates (lost, unregistered, ...) go through Metrics::count.
+//
 // No locking here: every registry has a single writer, the thread that
 // owns its transport (the sim's event loop or a socket runtime's dispatch
 // strand; see the threading rule in net/transport.hpp).

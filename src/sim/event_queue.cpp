@@ -1,6 +1,5 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -12,113 +11,97 @@ void EventQueue::schedule_in(Time delay, Event event) {
 
 void EventQueue::schedule_at(Time at, Event event) {
   if (at < now_) throw std::invalid_argument("EventQueue: scheduling in the past");
-  flush_staged();
-  heap_.push_back(Entry{at, next_seq_++, std::move(event), {}, 0});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  ++plain_count_;
+  push(at, std::move(event), /*timer=*/false);
 }
 
 EventQueue::TimerId EventQueue::set_timer(Time delay, Event event) {
-  const TimerId id = next_timer_++;
-  timers_.emplace(id, std::move(event));
-  const Time at = now_ + delay;
-  // Same-expiry batching: a run of set_timer calls with one expiry (a level
-  // fan-out arming N step timers in one tick) shares one heap entry. Members
-  // keep insertion order; the batch holds the first member's seq, and every
-  // member's would-be seq is consumed, so relative order against any later
-  // schedule is unchanged.
-  if (staged_.has_value() && staged_->at == at) {
-    staged_->ids.push_back(id);
-    ++next_seq_;
-  } else {
-    flush_staged();
-    staged_ = Entry{at, next_seq_++, Event{}, {id}, 0};
-  }
-  return id;
+  const std::uint32_t slot = push(now_ + delay, std::move(event), true);
+  ++live_timers_;
+  return static_cast<TimerId>(slots_[slot].generation) << 32 | slot;
 }
 
 bool EventQueue::cancel_timer(TimerId id) {
-  if (timers_.erase(id) == 0) return false;
-  ++dead_ids_;  // the id stays heaped as a tombstone until pop/compaction
-  maybe_compact();
+  const auto slot = static_cast<std::uint32_t>(id);
+  if (slot >= slots_.size()) return false;
+  const Slot& s = slots_[slot];
+  // A free slot is never a timer; a reused one has a newer generation.
+  if (!s.timer || s.generation != static_cast<std::uint32_t>(id >> 32))
+    return false;
+  remove(s.pos);  // the returned closure dies here, after the bookkeeping
   return true;
 }
 
-void EventQueue::flush_staged() {
-  if (!staged_.has_value()) return;
-  heap_.push_back(std::move(*staged_));
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  staged_.reset();
+std::uint32_t EventQueue::push(Time at, Event event, bool timer) {
+  std::uint32_t slot = free_;
+  if (slot == kNoSlot) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    free_ = slots_[slot].pos;
+  }
+  Slot& s = slots_[slot];
+  s.event = std::move(event);
+  s.timer = timer;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Key{at, next_seq_++, slot});
+  return slot;
 }
 
-void EventQueue::prune_front() {
-  while (!heap_.empty()) {
-    Entry& e = heap_.front();
-    if (e.ids.empty()) return;  // plain events are always live
-    while (e.head < e.ids.size() && !timers_.contains(e.ids[e.head])) {
-      ++e.head;
-      --dead_ids_;
-    }
-    if (e.head < e.ids.size()) return;
-    // Every member cancelled: discard the entry without running anything.
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
+Event EventQueue::remove(std::size_t pos) {
+  const std::uint32_t slot = heap_[pos].slot;
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) {
+    if (pos > 0 && before(last, heap_[(pos - 1) / 2]))
+      sift_up(pos, last);
+    else
+      sift_down(pos, last);
   }
+  Slot& s = slots_[slot];
+  Event event = std::move(s.event);
+  if (s.timer) --live_timers_;
+  s.timer = false;
+  if (++s.generation == 0) s.generation = 1;  // keep every TimerId nonzero
+  s.pos = free_;
+  free_ = slot;
+  return event;
 }
 
-void EventQueue::maybe_compact() {
-  // Tombstones cost 8 bytes each (the closure is already freed), so sweep
-  // only once they dominate: bounded memory under set/cancel churn without
-  // per-cancel heap surgery.
-  const std::size_t heaped = timers_.size() + dead_ids_;
-  if (dead_ids_ < 64 || dead_ids_ * 2 < heaped) return;
-  flush_staged();
-  std::vector<Entry> kept;
-  kept.reserve(heap_.size());
-  for (Entry& e : heap_) {
-    if (e.ids.empty()) {
-      kept.push_back(std::move(e));
-      continue;
-    }
-    std::vector<TimerId> live;
-    live.reserve(e.ids.size() - e.head);
-    for (std::size_t i = e.head; i < e.ids.size(); ++i)
-      if (timers_.contains(e.ids[i])) live.push_back(e.ids[i]);
-    if (live.empty()) continue;
-    e.ids = std::move(live);
-    e.head = 0;
-    kept.push_back(std::move(e));
+void EventQueue::place(std::size_t pos, const Key& key) {
+  heap_[pos] = key;
+  slots_[key.slot].pos = static_cast<std::uint32_t>(pos);
+}
+
+void EventQueue::sift_up(std::size_t pos, Key key) {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!before(key, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
   }
-  heap_ = std::move(kept);
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-  dead_ids_ = 0;
+  place(pos, key);
+}
+
+void EventQueue::sift_down(std::size_t pos, Key key) {
+  const std::size_t n = heap_.size();
+  while (true) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], key)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, key);
 }
 
 bool EventQueue::step() {
-  flush_staged();
-  prune_front();
   if (heap_.empty()) return false;
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry e = std::move(heap_.back());
-  heap_.pop_back();
-  now_ = e.at;
-  if (e.ids.empty()) {
-    --plain_count_;
-    Event ev = std::move(e.event);
-    ev();
-    return true;
-  }
-  // Timer batch: fire exactly one member (step()'s contract), re-heap the
-  // remainder under the same (at, seq) so they surface next, in order.
-  const TimerId id = e.ids[e.head++];
-  const auto it = timers_.find(id);  // live: prune_front guarantees it
-  Event ev = std::move(it->second);
-  timers_.erase(it);
-  if (e.head < e.ids.size()) {
-    heap_.push_back(std::move(e));
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-  }
-  ev();
+  now_ = heap_.front().at;
+  // Out of the queue before it runs: the event may schedule, cancel or
+  // step freely, and cancelling its own (fired) timer reports false.
+  Event event = remove(0);
+  event();
   return true;
 }
 
@@ -130,11 +113,8 @@ std::size_t EventQueue::run() {
 
 std::size_t EventQueue::run_until(Time deadline) {
   std::size_t executed = 0;
-  while (true) {
-    flush_staged();
-    prune_front();
-    if (heap_.empty() || heap_.front().at > deadline) break;
-    if (!step()) break;
+  while (!heap_.empty() && heap_.front().at <= deadline) {
+    step();
     ++executed;
   }
   return executed;

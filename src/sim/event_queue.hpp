@@ -6,25 +6,21 @@
 // (set_timer / cancel_timer). Timers back every timeout in the query-serving
 // engine: protocol retransmission, per-query deadlines, and arrival pacing.
 //
-// Storage layout (the serving hot path lives here):
-//  * The heap is a plain vector managed with push_heap/pop_heap, so entries
-//    are *moved* out at delivery — closures and their captured payloads are
-//    never copied on the hot path.
-//  * Timer closures live in a side map keyed by TimerId; the heap entry
-//    holds only the ids. cancel_timer frees the closure (and whatever it
-//    captured) immediately — a cancelled timer leaves behind nothing but an
-//    8-byte tombstone id, which compaction sweeps once tombstones dominate.
-//  * Consecutive set_timer calls with the same absolute expiry batch into
-//    one heap entry (the common case: a protocol level fanning out N step
-//    timers in one tick pays one heap push, not N). Batching never reorders:
-//    members fire in insertion order at the batch's sequence point, and any
-//    intervening schedule/cancel/run closes the batch.
+// Storage layout (every simulated message passes through here):
+//  * Closures live in a slab of slots recycled through a free list, so a
+//    steady-state run allocates no queue storage per event. A closure is
+//    moved in at schedule time and moved out at delivery, never copied.
+//  * The heap orders 24-byte keys (at, seq, slot) in an indexed binary
+//    heap; each slot records its key's heap position. Sifting moves keys,
+//    never closures.
+//  * A TimerId is a slot plus that slot's generation, so an id whose timer
+//    fired or was cancelled cancels nothing, even after the slot is reused.
+//    cancel_timer removes the key at once (O(log n)) and frees the closure
+//    with everything it captured.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace hkws::sim {
@@ -62,67 +58,68 @@ class EventQueue {
   bool cancel_timer(TimerId id);
 
   /// Runs events until the queue is empty. Returns #events executed
-  /// (cancelled timers are discarded silently and not counted).
+  /// (cancelled timers are gone and not counted).
   std::size_t run();
 
   /// Runs events with time <= `deadline`. Returns #events executed.
   std::size_t run_until(Time deadline);
 
-  /// Executes just the next live event, if any. Returns whether one ran.
+  /// Executes just the next event, if any. Returns whether one ran.
   bool step();
 
-  bool empty() const noexcept { return plain_count_ == 0 && timers_.empty(); }
-  std::size_t pending() const noexcept {
-    return plain_count_ + timers_.size();
-  }
+  bool empty() const noexcept { return heap_.empty(); }
+  std::size_t pending() const noexcept { return heap_.size(); }
 
   /// Timers that are still pending (set, not yet fired, not cancelled).
   /// A protocol that cancels every timer on terminal transitions leaves this
   /// at 0 once all its operations have completed — the torture harness's
   /// no-dangling-timer invariant.
-  std::size_t live_timer_count() const noexcept { return timers_.size(); }
+  std::size_t live_timer_count() const noexcept { return live_timers_; }
 
   // --- Storage introspection (tests / diagnostics) -------------------------
 
-  /// Heap entries currently held (live + tombstoned), including the staged
-  /// batch. Bounded by compaction even under pathological set/cancel churn.
-  std::size_t heap_entries() const noexcept {
-    return heap_.size() + (staged_.has_value() ? 1 : 0);
-  }
-  /// Cancelled-timer tombstone ids still awaiting pop or compaction.
-  std::size_t cancelled_in_heap() const noexcept { return dead_ids_; }
+  /// Heap keys currently held: exactly the pending events, because a
+  /// cancelled timer's key leaves the heap at once.
+  std::size_t heap_entries() const noexcept { return heap_.size(); }
+  /// Cancelled timers still occupying storage: always 0 (see above).
+  std::size_t cancelled_in_heap() const noexcept { return 0; }
 
  private:
-  struct Entry {
+  struct Key {
     Time at;
     std::uint64_t seq;
-    Event event;                ///< plain-event payload; unused for timers
-    std::vector<TimerId> ids;   ///< timer batch (empty = plain event)
-    std::size_t head = 0;       ///< first unconsumed index into `ids`
+    std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    }
+  struct Slot {
+    Event event;
+    /// Heap position of this slot's key while pending; the next free slot
+    /// while on the free list.
+    std::uint32_t pos = 0;
+    /// Bumped on every release, so ids of earlier occupants go stale.
+    std::uint32_t generation = 1;
+    bool timer = false;
   };
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-  /// Pushes the staged timer batch (if any) into the heap; closes batching.
-  void flush_staged();
-  /// Skips tombstoned ids so the heap front starts with a live payload.
-  void prune_front();
-  /// Rebuilds the heap without tombstones once they dominate storage.
-  void maybe_compact();
+  static bool before(const Key& a, const Key& b) noexcept {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
 
-  std::vector<Entry> heap_;
-  std::optional<Entry> staged_;  ///< open same-expiry timer batch
-  /// Pending timer closures. Erased on cancel (frees captures immediately)
-  /// and on fire. A heaped id absent here is a tombstone.
-  std::unordered_map<TimerId, Event> timers_;
-  std::size_t plain_count_ = 0;  ///< non-timer entries in heap_
-  std::size_t dead_ids_ = 0;     ///< tombstone ids in heap_ + staged_
+  /// Stores `event` in a free slot and pushes its key; returns the slot.
+  std::uint32_t push(Time at, Event event, bool timer);
+  /// Removes the key at heap position `pos`; returns the slot's closure
+  /// and puts the slot back on the free list.
+  Event remove(std::size_t pos);
+  void place(std::size_t pos, const Key& key);
+  void sift_up(std::size_t pos, Key key);
+  void sift_down(std::size_t pos, Key key);
+
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_ = kNoSlot;  ///< head of the free-slot list
+  std::size_t live_timers_ = 0;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
-  TimerId next_timer_ = 1;
 };
 
 }  // namespace hkws::sim

@@ -63,6 +63,7 @@ void Metrics::set_reservoir(const std::string& name, std::size_t cap) {
 }
 
 void Metrics::reset() {
+  slots_.clear();
   counters_.clear();
   series_.clear();
   reservoir_rng_ = Rng(kReservoirSeed);

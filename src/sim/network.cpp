@@ -45,8 +45,8 @@ void Network::set_fault_model(std::unique_ptr<FaultModel> model) {
   fault_ = std::move(model);
 }
 
-void Network::deliver_after(Time delay, const Handler& deliver) {
-  clock_.schedule_in(delay, [this, deliver] {
+void Network::deliver_after(Time delay, Handler deliver) {
+  clock_.schedule_in(delay, [this, deliver = std::move(deliver)] {
     net::ledger::delivered(metrics_);
     deliver();
   });
@@ -86,7 +86,9 @@ void Network::send(EndpointId from, EndpointId to, std::string kind,
   const Time base = latency_->latency(from, to, rng_);
   if (fault.extra_delay != 0) net::ledger::delayed(metrics_);
   observe(false, now + base + fault.extra_delay);
-  deliver_after(base + fault.extra_delay, deliver);
+  // The closure moves into its one delivery; only duplicates copy it.
+  deliver_after(base + fault.extra_delay,
+                fault.duplicates == 0 ? std::move(deliver) : Handler(deliver));
   for (std::uint32_t i = 0; i < fault.duplicates; ++i) {
     // Each duplicate is a real wire message with its own latency draw, so
     // copies overtake each other (the interesting reordering case).

@@ -200,8 +200,10 @@ class Network : public net::Transport {
 
  private:
   /// Schedules one delivery of `deliver` after `delay`, recording it
-  /// delivered at arrival time.
-  void deliver_after(Time delay, const Handler& deliver);
+  /// delivered at arrival time. The closure moves into the queue's slab
+  /// slot (see event_queue.hpp) and out again at arrival; a message costs
+  /// no closure copy unless a fault model duplicates it.
+  void deliver_after(Time delay, Handler deliver);
 
   EventQueue& clock_;
   std::unique_ptr<LatencyModel> latency_;

@@ -432,12 +432,27 @@ void execute(const ScenarioConfig& cfg, Ops& ops, ScenarioReport& rep,
   // maintenance plane heals in the background while serving continues.
   const bool continuous = cfg.continuous_churn && ops.fail_peer != nullptr;
 
+  // Publishes and withdraws whose callback has not run yet. Atomic: on
+  // sockets the callbacks run on the strand. Shared with the callbacks so
+  // a late one outliving this frame (sim queues are destroyed unrun) never
+  // touches a dead counter.
+  const auto mutations_pending = std::make_shared<std::atomic<std::size_t>>(0);
+  const auto mutation_done = [mutations_pending] { --*mutations_pending; };
+
   auto drain = [&] {
     if (!rt.has_async()) return;
     if (ops.plane != nullptr && ops.plane->running()) {
       // The plane's perpetual timers keep the queue non-empty, so drain a
       // bounded window instead (ample for any mutation burst to land).
       rt.drain_window(400);
+      // On sockets the heartbeats in flight keep that window from ever
+      // reaching idle, so it may end before the burst has landed. Wait,
+      // bounded, for every mutation callback: the workload withdraws only
+      // objects whose publish finished.
+      if (rt.is_socket()) {
+        const sim::Time deadline = rt.now() + 20000;
+        while (*mutations_pending > 0 && rt.now() < deadline) rt.step();
+      }
     } else {
       rt.drain_full();
     }
@@ -448,7 +463,8 @@ void execute(const ScenarioConfig& cfg, Ops& ops, ScenarioReport& rep,
     const KeywordSet k = make_kws(1, 4);
     oracle.live[id] = k;
     if (tracer != nullptr) tracer->instant(ts(), 0, "publish", "torture", id);
-    ops.publish(id, k, [] {});
+    ++*mutations_pending;
+    ops.publish(id, k, mutation_done);
     ++rep.mutations;
   };
   // Mutations inside one burst overlap on the wire, and the protocol does
@@ -465,7 +481,8 @@ void execute(const ScenarioConfig& cfg, Ops& ops, ScenarioReport& rep,
     const KeywordSet k = oracle.live.at(id);
     oracle.live.erase(id);
     if (tracer != nullptr) tracer->instant(ts(), 0, "withdraw", "torture", id);
-    ops.withdraw(id, k, [] {});
+    ++*mutations_pending;
+    ops.withdraw(id, k, mutation_done);
     ++rep.mutations;
   };
 

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "net/ledger.hpp"
 #include "net/tcp_transport.hpp"
@@ -72,6 +73,154 @@ TEST(Ledger, IdentityErrorNamesTheBrokenIdentity) {
   unattributed.count("net.lost");
   EXPECT_EQ(ledger::identity_error(unattributed),
             "net.lost (1) != net.dropped.fault (0) + net.dropped.conn (0)");
+}
+
+// The fates every message records write through Metrics counter slots
+// cached per registry. These pin that the cache is invisible: reads,
+// resets and copies behave as if every fate were a string-keyed count().
+
+// The fates above, recorded the way the string path spells them.
+void record_by_name(sim::Metrics& m) {
+  m.count("net.local");
+  m.count("net.dropped");
+  m.count("net.dropped.dolr.read");
+  m.count("net.dropped.unregistered");
+  for (int i = 0; i < 2; ++i) {
+    m.count("net.messages");
+    m.count("net.bytes", 100);
+    m.count("msg.kws.t_query");
+  }
+  m.count("net.wire_bytes", 140);
+  m.count("net.delivered");
+  m.count("net.lost");
+  m.count("net.lost.kws.t_query");
+  m.count("net.dropped.fault");
+  m.count("net.messages");
+  m.count("net.charged");
+  m.count("msg.dht.fix_finger");
+}
+
+void record_through_ledger(sim::Metrics& m) {
+  ledger::local(m);
+  ledger::unregistered(m, "dolr.read");
+  ledger::sent(m, "kws.t_query", 100);
+  ledger::delivered(m);
+  ledger::sent(m, "kws.t_query", 100, 140);
+  ledger::lost(m, "kws.t_query", ledger::Cause::kFault);
+  ledger::charged(m, "dht.fix_finger");
+}
+
+TEST(LedgerSlots, ReadsMatchTheStringPath) {
+  sim::Metrics by_name;
+  record_by_name(by_name);
+  sim::Metrics slotted;
+  record_through_ledger(slotted);
+  EXPECT_EQ(slotted.counters(), by_name.counters());
+  EXPECT_EQ(slotted.to_string(), by_name.to_string());
+  for (const auto& [name, value] : by_name.counters())
+    EXPECT_EQ(slotted.counter(name), value) << name;
+  // A slot and a count() on the same name share one counter.
+  slotted.count("net.messages", 10);
+  ledger::sent(slotted, "kws.t_query", 1);
+  EXPECT_EQ(slotted.counter("net.messages"), 14u);
+  EXPECT_EQ(slotted.counter("msg.kws.t_query"), 3u);
+}
+
+TEST(LedgerSlots, CountersRestartAfterReset) {
+  sim::Metrics m;
+  record_through_ledger(m);
+  ledger::sent(m, "kws.t_query", 100);  // still in flight
+  EXPECT_NE(ledger::identity_error(m), "");
+  m.reset();
+  EXPECT_TRUE(m.counters().empty());
+  EXPECT_EQ(ledger::identity_error(m), "");
+  // The second phase counts from zero into fresh counters, exactly as a
+  // fresh registry would.
+  record_through_ledger(m);
+  sim::Metrics fresh;
+  record_through_ledger(fresh);
+  EXPECT_EQ(m.counters(), fresh.counters());
+  EXPECT_EQ(m.counter("net.messages"), 3u);
+  EXPECT_EQ(m.counter("msg.kws.t_query"), 2u);
+  EXPECT_EQ(ledger::identity_error(m), "");
+  // A phase that records fewer fates leaves the others absent, not stale.
+  m.reset();
+  ledger::local(m);
+  EXPECT_EQ(m.counters().size(), 1u);
+  EXPECT_EQ(m.counter("net.local"), 1u);
+}
+
+TEST(LedgerSlots, IdentityErrorAfterLostDupAndChargedFates) {
+  sim::Metrics m;
+  ledger::sent(m, "kws.results", 10);  // duplicated: two wire copies
+  ledger::sent(m, "kws.results", 10);
+  ledger::dup(m);
+  ledger::delivered(m);
+  ledger::lost(m, "kws.results", ledger::Cause::kConn);
+  ledger::charged(m, "dht.lookup");
+  ledger::charged(m, "dht.lookup");
+  EXPECT_EQ(ledger::identity_error(m), "");
+  EXPECT_EQ(m.counter("net.messages"), 4u);
+  EXPECT_EQ(m.counter("net.charged"), 2u);
+  EXPECT_EQ(m.counter("msg.dht.lookup"), 2u);
+  EXPECT_EQ(m.counter("msg.kws.results"), 2u);
+  EXPECT_EQ(m.counter("net.dup"), 1u);
+
+  ledger::sent(m, "kws.results", 10);
+  EXPECT_EQ(ledger::identity_error(m),
+            "net.messages (5) != net.delivered (1) + net.lost (1) + "
+            "net.charged (2)");
+  ledger::lost(m, "kws.results", ledger::Cause::kFault);
+  EXPECT_EQ(ledger::identity_error(m), "");
+  m.count("net.messages");  // a message lost with no cause: conserved,
+  m.count("net.lost");      // but not attributed
+  EXPECT_EQ(ledger::identity_error(m),
+            "net.lost (3) != net.dropped.fault (1) + net.dropped.conn (1)");
+}
+
+TEST(LedgerSlots, CopiedOrMovedMetricsCountIntoTheirOwnMap) {
+  sim::Metrics original;
+  ledger::sent(original, "kws.t_query", 8);  // resolves the slots
+  ledger::delivered(original);
+
+  sim::Metrics copy = original;
+  ledger::sent(copy, "kws.t_query", 8);
+  ledger::delivered(copy);
+  EXPECT_EQ(copy.counter("net.messages"), 2u);
+  EXPECT_EQ(copy.counter("msg.kws.t_query"), 2u);
+  EXPECT_EQ(original.counter("net.messages"), 1u);
+  EXPECT_EQ(original.counter("msg.kws.t_query"), 1u);
+
+  sim::Metrics assigned;
+  ledger::local(assigned);
+  assigned = original;
+  ledger::sent(assigned, "kws.t_query", 8);
+  ledger::local(assigned);
+  EXPECT_EQ(assigned.counter("net.messages"), 2u);
+  EXPECT_EQ(assigned.counter("net.local"), 1u);
+  EXPECT_EQ(original.counter("net.messages"), 1u);
+  EXPECT_EQ(original.counter("net.local"), 0u);
+
+  sim::Metrics moved = std::move(original);
+  ledger::sent(moved, "kws.t_query", 8);
+  EXPECT_EQ(moved.counter("net.messages"), 2u);
+  EXPECT_EQ(moved.counter("msg.kws.t_query"), 2u);
+  // The moved-from registry is usable and counts into its own map only.
+  original.reset();
+  ledger::sent(original, "kws.t_query", 8);
+  EXPECT_EQ(original.counter("net.messages"), 1u);
+  EXPECT_EQ(moved.counter("net.messages"), 2u);
+
+  sim::Metrics move_assigned;
+  ledger::sent(move_assigned, "kws.pin", 8);
+  move_assigned = std::move(moved);
+  ledger::sent(move_assigned, "kws.pin", 8);
+  ledger::delivered(move_assigned);
+  EXPECT_EQ(move_assigned.counter("net.messages"), 3u);
+  EXPECT_EQ(move_assigned.counter("msg.kws.pin"), 1u);
+  EXPECT_EQ(move_assigned.counter("net.delivered"), 2u);
+  EXPECT_EQ(copy.counter("net.messages"), 2u);
+  EXPECT_EQ(assigned.counter("net.messages"), 2u);
 }
 
 template <class T>

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <optional>
@@ -237,6 +238,38 @@ TEST(Mirrored, BudgetedResyncConvergesCubesAfterFailures) {
   t.clock.run();
   ASSERT_TRUE(primary_only.has_value());
   EXPECT_EQ(ids_of(merged.hits), ids_of(primary_only->hits));
+}
+
+// A resync that runs while a withdraw sits between its primary delete and
+// its mirror deindex must not copy the mirror entry back into the primary
+// cube: the withdrawn object would come back for good.
+TEST(Mirrored, ResyncDuringWithdrawDoesNotReviveTheObject) {
+  MirrorNet t(16);
+  const KeywordSet k({"stale", "entry"});
+  t.index->publish(1, 5, k);
+  t.clock.run();
+  ASSERT_TRUE(t.index->primary().has_entry(k, 5));
+  ASSERT_TRUE(t.index->mirror().has_entry(k, 5));
+
+  t.index->withdraw(1, 5, k);
+  // Step to the window: the primary entry is gone, the mirror still has it.
+  while (t.index->primary().has_entry(k, 5)) ASSERT_TRUE(t.clock.step());
+  ASSERT_TRUE(t.index->mirror().has_entry(k, 5));
+  EXPECT_EQ(t.index->resync_backlog(), 0u);
+
+  t.index->resync(SIZE_MAX);
+  t.clock.run();
+  EXPECT_FALSE(t.index->primary().has_entry(k, 5));
+  EXPECT_FALSE(t.index->mirror().has_entry(k, 5));
+  EXPECT_TRUE(t.superset(KeywordSet({"stale"})).hits.empty());
+  EXPECT_TRUE(t.superset(k).hits.empty());
+
+  // Publishing the object again makes it an ordinary entry: resync copies
+  // it once more if a cube loses it.
+  t.index->publish(1, 5, k);
+  t.clock.run();
+  EXPECT_EQ(ids_of(t.superset(k).hits), (std::set<ObjectId>{5}));
+  EXPECT_EQ(t.index->resync(SIZE_MAX), 0u);
 }
 
 /// Drops every message of one kind originated by one endpoint — the

@@ -91,10 +91,12 @@ bool run_one(ScenarioRunner& runner, const ScenarioConfig& cfg, bool shrink,
   if (rep.ok()) {
     if (verbose)
       std::printf("ok    %s (searches=%zu mutations=%zu cancels=%zu "
-                  "faults=%llu)\n",
+                  "faults=%llu net.messages=%llu net.lost=%llu)\n",
                   cfg.to_string().c_str(), rep.searches, rep.mutations,
                   rep.cancels,
-                  static_cast<unsigned long long>(rep.faults_applied));
+                  static_cast<unsigned long long>(rep.faults_applied),
+                  static_cast<unsigned long long>(rep.messages),
+                  static_cast<unsigned long long>(rep.lost));
     return true;
   }
   std::printf("FAIL  %s\n", cfg.to_string().c_str());

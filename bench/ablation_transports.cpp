@@ -127,7 +127,7 @@ int main() {
     sim::EventQueue clock;
     sim::Network net(clock);
     cubenet::HyperCupNetwork cup(net, {.r = kR});
-    cubenet::HyperCupIndex idx(cup, {});
+    cubenet::HyperCupIndex idx(cup);
     const auto s = run_workload(
         clock, net, corpus, queries,
         [&](const workload::ObjectRecord& rec) {

@@ -51,8 +51,10 @@ int main() {
   sim::EventQueue clock;
   sim::Network net(clock);
   auto overlay = dht::ChordNetwork::build(net, 32, {});
-  index::KeywordSearchService service(
-      overlay, {.r = 8, .replication_factor = 2});
+  index::KeywordSearchService::Options options;
+  options.r = 8;
+  options.replication_factor = 2;
+  index::KeywordSearchService service(overlay, options);
 
   // Publish each document under the keyword set of its title + body.
   for (const auto& doc : library()) {

@@ -74,7 +74,7 @@ int main() {
     sim::EventQueue clock;
     sim::Network net(clock);
     cubenet::HyperCupNetwork cup(net, {.r = 6});
-    cubenet::HyperCupIndex index(cup, {});
+    cubenet::HyperCupIndex index(cup);
     for (const auto& item : library())
       index.insert(item.id % cup.size(), item.id, item.keywords);
     clock.run();

@@ -12,8 +12,8 @@ constexpr std::size_t kHitBytes = 48;
 constexpr std::size_t kCtrlBytes = 64;
 }  // namespace
 
-HyperCupIndex::HyperCupIndex(HyperCupNetwork& net, Config cfg)
-    : net_(net), cfg_(cfg), hasher_(net.cube().dimension(), cfg.hash_seed) {
+HyperCupIndex::HyperCupIndex(HyperCupNetwork& net)
+    : net_(net), hasher_(net.cube().dimension(), seeds::kKeywordHash) {
   tables_.resize(net.cube().node_count());
 }
 

@@ -29,11 +29,7 @@ namespace hkws::cubenet {
 
 class HyperCupIndex {
  public:
-  struct Config {
-    std::uint64_t hash_seed = seeds::kKeywordHash;
-  };
-
-  HyperCupIndex(HyperCupNetwork& net, Config cfg);
+  explicit HyperCupIndex(HyperCupNetwork& net);
 
   using SearchCallback = std::function<void(const index::SearchResult&)>;
   using OpCallback = std::function<void(int hops)>;
@@ -92,7 +88,6 @@ class HyperCupIndex {
   void maybe_complete(std::uint64_t req_id);
 
   HyperCupNetwork& net_;
-  Config cfg_;
   index::KeywordHasher hasher_;
   std::vector<index::IndexTable> tables_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Request>> requests_;

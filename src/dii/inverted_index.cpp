@@ -13,7 +13,7 @@ InvertedIndex::InvertedIndex(Config cfg) : cfg_(cfg) {
 }
 
 std::uint64_t InvertedIndex::node_of(const Keyword& w) const {
-  return hash_bytes(w, cfg_.hash_seed) & ((1ULL << cfg_.r) - 1);
+  return hash_bytes(w, seeds::kKeywordHash) & ((1ULL << cfg_.r) - 1);
 }
 
 void InvertedIndex::insert(ObjectId object, const KeywordSet& keywords) {

@@ -29,7 +29,6 @@ class InvertedIndex {
  public:
   struct Config {
     int r = 10;  ///< the node space is 2^r, matching the hypercube setup
-    std::uint64_t hash_seed = seeds::kKeywordHash;
   };
 
   explicit InvertedIndex(Config cfg);

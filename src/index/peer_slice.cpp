@@ -43,7 +43,7 @@ PeerSlice::PeerSlice(net::Transport& net, Config cfg)
     : net_(net),
       cfg_(cfg),
       cube_(cfg.r),
-      hasher_(cfg.r, cfg.hash_seed),
+      hasher_(cfg.r, seeds::kKeywordHash),
       space_(cfg.ring_bits) {
   if (cfg_.procs < 1 || cfg_.rank < 0 || cfg_.rank >= cfg_.procs)
     throw std::invalid_argument("PeerSlice: rank out of range");

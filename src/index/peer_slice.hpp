@@ -62,7 +62,6 @@ class PeerSlice {
  public:
   struct Config {
     int r = 8;  ///< hypercube dimension
-    std::uint64_t hash_seed = seeds::kKeywordHash;
     std::uint64_t ring_salt = seeds::kCubeToDht;  ///< cube node -> ring key
     int ring_bits = 32;
     std::uint64_t node_seed = 42;  ///< peer endpoint -> ring position

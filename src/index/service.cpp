@@ -7,21 +7,12 @@ namespace hkws::index {
 
 KeywordSearchService::KeywordSearchService(dht::Overlay& overlay,
                                            Options options)
-    : options_(options),
-      dolr_(overlay, dht::Dolr::Config{options.replication_factor}) {
-  OverlayIndex::Config cfg;
-  cfg.r = options.r;
-  cfg.hash_seed = options.hash_seed;
-  cfg.cache_capacity = options.cache_capacity;
-  cfg.step_timeout = options.step_timeout;
-  cfg.max_retries = options.max_retries;
-  cfg.failover_after = options.failover_after;
-  cfg.hot = options.hot_cells;
+    : dolr_(overlay, dht::Dolr::Config{options.replication_factor}) {
   if (options.mirror_index) {
-    mirrored_ = std::make_unique<MirroredIndex>(dolr_, cfg);
+    mirrored_ = std::make_unique<MirroredIndex>(dolr_, options);
     mirrored_->set_windows(options.windows);
   } else {
-    plain_ = std::make_unique<OverlayIndex>(dolr_, cfg);
+    plain_ = std::make_unique<OverlayIndex>(dolr_, options);
   }
 }
 
@@ -31,6 +22,10 @@ OverlayIndex& KeywordSearchService::primary_index() {
 
 const OverlayIndex& KeywordSearchService::primary_index() const {
   return mirrored_ ? mirrored_->primary() : *plain_;
+}
+
+const OverlayIndex* KeywordSearchService::mirror_index() const {
+  return mirrored_ ? &mirrored_->mirror() : nullptr;
 }
 
 std::uint64_t KeywordSearchService::replication_step(std::size_t max_entries) {

@@ -96,10 +96,10 @@ void FailureDetector::probe(sim::EndpointId target) {
   // Ping prober -> target. If the target is gone the fabric counts only
   // "net.dropped" and no ack ever fires; the timeout below converts that
   // silence into suspicion.
-  net_.send(prober, target, "maint.ping", cfg_.ping_bytes,
+  net_.send(prober, target, "maint.ping", kPingBytes,
             [this, epoch, prober, target] {
               if (epoch != epoch_) return;
-              net_.send(target, prober, "maint.ack", cfg_.ping_bytes,
+              net_.send(target, prober, "maint.ack", kPingBytes,
                         [this, epoch, target] { on_ack(epoch, target); });
             });
   Member& m = members_[target];
@@ -130,7 +130,7 @@ void FailureDetector::on_ack_timeout(sim::EndpointId target) {
   // timeout: by then a dead prober has picked up its own suspicion and is
   // no longer trusted, so its target's false suspicion clears instead of
   // compounding into a false confirmation.
-  if (m.missed >= cfg_.confirmations) confirm(target);
+  if (m.missed >= kConfirmations) confirm(target);
 }
 
 void FailureDetector::confirm(sim::EndpointId target) {

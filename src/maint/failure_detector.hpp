@@ -10,7 +10,7 @@
 // every round, each still-monitored member is pinged by its nearest
 // believed-alive ring successor ("maint.ping"), which expects a
 // "maint.ack" back within `timeout` ticks. A missed ack marks the target
-// *suspected*; `confirmations` consecutive misses confirm the death and
+// *suspected*; kConfirmations consecutive misses confirm the death and
 // fire the callback exactly once. An ack at any point clears the
 // suspicion, so transient message loss (both kinds are declared lossable
 // to the torture fault injector) only delays detection, it cannot
@@ -44,9 +44,11 @@ class FailureDetector {
   struct Config {
     sim::Time period = 40;   ///< ping round interval (ticks)
     sim::Time timeout = 30;  ///< ack wait per ping; must be < period
-    int confirmations = 2;   ///< consecutive misses before death is confirmed
-    std::size_t ping_bytes = 16;  ///< wire size of ping and ack
   };
+  /// Consecutive missed acks before a death is confirmed.
+  static constexpr int kConfirmations = 2;
+  /// Wire size of a ping and of an ack.
+  static constexpr std::size_t kPingBytes = 16;
 
   /// Invoked exactly once per confirmed death, from a timer event.
   using DeathCallback = std::function<void(sim::EndpointId)>;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -18,6 +19,17 @@
 namespace hkws::engine {
 namespace {
 
+using Options = index::KeywordSearchService::Options;
+
+/// Service options at r = 6 (small cubes keep these tests fast), adjusted
+/// by `tweak`.
+Options small_options(const std::function<void(Options&)>& tweak = {}) {
+  Options o;
+  o.r = 6;
+  if (tweak) tweak(o);
+  return o;
+}
+
 // --- Fixture ----------------------------------------------------------------
 
 struct EngineNet {
@@ -26,7 +38,7 @@ struct EngineNet {
   std::unique_ptr<dht::ChordNetwork> dht;
   std::unique_ptr<index::KeywordSearchService> service;
 
-  explicit EngineNet(index::KeywordSearchService::Options opts = {.r = 6},
+  explicit EngineNet(Options opts = small_options(),
                      std::unique_ptr<sim::LatencyModel> latency = nullptr,
                      std::uint64_t seed = 1) {
     net = std::make_unique<sim::Network>(clock, std::move(latency), seed);
@@ -91,7 +103,8 @@ std::vector<KeywordSet> test_queries() {
 TEST(QueryEngine, ConcurrentInterleavedSearchesAreExact) {
   // Randomized per-message latency interleaves N overlapping traversals;
   // a small in-flight cap forces backlog churn on top.
-  EngineNet t({.r = 6}, std::make_unique<sim::UniformLatency>(1, 20), 99);
+  EngineNet t(small_options(), std::make_unique<sim::UniformLatency>(1, 20),
+              99);
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
@@ -137,7 +150,7 @@ TEST(QueryEngine, ConcurrentInterleavedSearchesAreExact) {
 // divided by the number of peers that happened to serve a scan, which
 // understates the skew whenever part of the ring sits idle.)
 TEST(QueryEngine, ScanSkewCountsIdlePeersInTheMean) {
-  EngineNet t({.r = 6});
+  EngineNet t(small_options());
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
@@ -178,7 +191,10 @@ TEST(QueryEngine, ScanSkewCountsIdlePeersInTheMean) {
 // --- Loss + retransmission --------------------------------------------------
 
 TEST(QueryEngine, LossyNetworkYieldsExactResultsViaRetransmission) {
-  EngineNet t({.r = 6, .step_timeout = 200, .max_retries = 6},
+  EngineNet t(small_options([](Options& o) {
+                o.step_timeout = 200;
+                o.max_retries = 6;
+              }),
               std::make_unique<sim::UniformLatency>(1, 20), 7);
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);  // publish losslessly, then break the network
@@ -213,7 +229,7 @@ TEST(QueryEngine, LossyNetworkYieldsExactResultsViaRetransmission) {
 // --- Admission control -------------------------------------------------------
 
 TEST(QueryEngine, ShedsWhenBacklogFull) {
-  EngineNet t({.r = 6});
+  EngineNet t(small_options());
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
@@ -242,7 +258,7 @@ TEST(QueryEngine, ShedsWhenBacklogFull) {
 }
 
 TEST(QueryEngine, PriorityBacklogServesHighPriorityFirst) {
-  EngineNet t({.r = 6});
+  EngineNet t(small_options());
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
@@ -267,7 +283,7 @@ TEST(QueryEngine, PriorityBacklogServesHighPriorityFirst) {
 // --- Deadlines ---------------------------------------------------------------
 
 TEST(QueryEngine, DeadlineTimesOutAndCancelsCleanly) {
-  EngineNet t({.r = 6}, std::make_unique<sim::FixedLatency>(10));
+  EngineNet t(small_options(), std::make_unique<sim::FixedLatency>(10));
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
@@ -303,7 +319,7 @@ TEST(QueryEngine, DeadlineTimesOutAndCancelsCleanly) {
 }
 
 TEST(QueryEngine, BacklogEntriesPastDeadlineTimeOutWithoutLaunching) {
-  EngineNet t({.r = 6}, std::make_unique<sim::FixedLatency>(50));
+  EngineNet t(small_options(), std::make_unique<sim::FixedLatency>(50));
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
@@ -338,7 +354,7 @@ TEST(QueryEngine, BacklogExpiryTaxonomyIsDisjointAndBackdated) {
   // Measure the (deterministic) cold service time of the probe query.
   sim::Time service_l = 0;
   {
-    EngineNet t({.r = 6, .cache_capacity = 0},
+    EngineNet t(small_options([](Options& o) { o.cache_capacity = 0; }),
                 std::make_unique<sim::FixedLatency>(10));
     publish_catalogue(t, sets);
     QueryEngine probe(*t.service, t.clock,
@@ -353,7 +369,7 @@ TEST(QueryEngine, BacklogExpiryTaxonomyIsDisjointAndBackdated) {
   const sim::Time kDeadline = 3 * kL + kL / 2;
   const sim::Time kStop = kDeadline + 2 * kL;  // when the chain stops
 
-  EngineNet t({.r = 6, .cache_capacity = 0},
+  EngineNet t(small_options([](Options& o) { o.cache_capacity = 0; }),
               std::make_unique<sim::FixedLatency>(10));
   publish_catalogue(t, sets);
   EngineConfig cfg;
@@ -432,7 +448,7 @@ TEST(QueryEngine, BacklogExpiryTaxonomyIsDisjointAndBackdated) {
 // gauges on submission entry — before the backlog push — so the exported
 // peak under-read the true high water.
 TEST(QueryEngine, GaugesTrackPeaksOnEveryTransition) {
-  EngineNet t({.r = 6, .cache_capacity = 0},
+  EngineNet t(small_options([](Options& o) { o.cache_capacity = 0; }),
               std::make_unique<sim::FixedLatency>(10));
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
@@ -482,7 +498,7 @@ TEST(QueryEngine, AdaptiveAdmissionRecoversAfterOverload) {
   // the probe query — both deterministic under fixed link latency.
   sim::Time cold_l = 0, warm_l = 0;
   {
-    EngineNet t({.r = 6, .cache_capacity = 0},
+    EngineNet t(small_options([](Options& o) { o.cache_capacity = 0; }),
                 std::make_unique<sim::FixedLatency>(10));
     publish_catalogue(t, sets);
     QueryEngine probe(*t.service, t.clock,
@@ -500,7 +516,7 @@ TEST(QueryEngine, AdaptiveAdmissionRecoversAfterOverload) {
   ASSERT_LT(cold_l, 2 * warm_l);
   ASSERT_GT(cold_l, warm_l);
 
-  EngineNet t({.r = 6, .cache_capacity = 0},
+  EngineNet t(small_options([](Options& o) { o.cache_capacity = 0; }),
               std::make_unique<sim::FixedLatency>(10));
   publish_catalogue(t, sets);
   EngineConfig cfg;
@@ -558,7 +574,7 @@ TEST(QueryEngine, AdaptiveAdmissionRecoversAfterOverload) {
 // --- Trace records -----------------------------------------------------------
 
 TEST(QueryEngine, TraceRecordsCoverQueryLifecycle) {
-  EngineNet t({.r = 6});
+  EngineNet t(small_options());
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
@@ -590,7 +606,7 @@ TEST(QueryEngine, TraceRecordsCoverQueryLifecycle) {
 // --- Mirrored service --------------------------------------------------------
 
 TEST(QueryEngine, MirroredServiceSmoke) {
-  EngineNet t({.r = 6, .mirror_index = true});
+  EngineNet t(small_options([](Options& o) { o.mirror_index = true; }));
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
@@ -627,11 +643,12 @@ TEST(QueryEngine, DegradedOutcomesAccountedSeparately) {
   // deterministically until one of them degrades at least one query.
   for (sim::EndpointId victim = 2; victim <= 24; ++victim) {
     // Query caching off: round two must re-traverse, not answer from cache.
-    EngineNet t({.r = 6,
-                 .mirror_index = true,
-                 .cache_capacity = 0,
-                 .step_timeout = 200,
-                 .max_retries = 2},
+    EngineNet t(small_options([](Options& o) {
+                  o.mirror_index = true;
+                  o.cache_capacity = 0;
+                  o.step_timeout = 200;
+                  o.max_retries = 2;
+                }),
                 std::make_unique<sim::UniformLatency>(1, 20), 7);
     publish_catalogue(t, sets);
 
@@ -682,7 +699,7 @@ TEST(QueryEngine, DegradedOutcomesAccountedSeparately) {
 // --- Load driver -------------------------------------------------------------
 
 TEST(LoadDriver, ReplaysWholeLogOpenLoop) {
-  EngineNet t({.r = 6});
+  EngineNet t(small_options());
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 

@@ -28,7 +28,7 @@ struct CupNet {
   explicit CupNet(int r) {
     net = std::make_unique<sim::Network>(clock);
     cup = std::make_unique<HyperCupNetwork>(*net, HyperCupNetwork::Config{r});
-    index = std::make_unique<HyperCupIndex>(*cup, HyperCupIndex::Config{});
+    index = std::make_unique<HyperCupIndex>(*cup);
   }
 
   index::SearchResult superset(cube::CubeId searcher, const KeywordSet& q,
@@ -176,7 +176,7 @@ TEST(HyperCupIndex, CorrectUnderMessageReordering) {
   sim::EventQueue clock;
   sim::Network net(clock, std::make_unique<sim::UniformLatency>(1, 40), 5);
   HyperCupNetwork cup(net, {.r = 7});
-  HyperCupIndex index(cup, {});
+  HyperCupIndex index(cup);
   index::LogicalIndex logical({.r = 7});
   Rng rng(9);
   for (ObjectId id = 1; id <= 150; ++id) {

@@ -137,8 +137,9 @@ struct EngineNet {
         clock, std::make_unique<sim::UniformLatency>(1, 20), 99);
     dht = std::make_unique<dht::ChordNetwork>(
         dht::ChordNetwork::build(*net, 24, {}));
-    service = std::make_unique<index::KeywordSearchService>(
-        *dht, index::KeywordSearchService::Options{.r = 6});
+    index::KeywordSearchService::Options opts;
+    opts.r = 6;
+    service = std::make_unique<index::KeywordSearchService>(*dht, opts);
   }
 };
 

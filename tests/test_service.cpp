@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -11,6 +12,17 @@
 
 namespace hkws::index {
 namespace {
+
+using Options = KeywordSearchService::Options;
+
+/// Service options at r = 6 (small cubes keep these tests fast), adjusted
+/// by `tweak`.
+Options small_options(const std::function<void(Options&)>& tweak = {}) {
+  Options o;
+  o.r = 6;
+  if (tweak) tweak(o);
+  return o;
+}
 
 struct ServiceNet {
   sim::EventQueue clock;
@@ -45,7 +57,7 @@ void publish_catalogue(ServiceNet& t) {
 }
 
 TEST(Service, PublishSearchRoundTrip) {
-  ServiceNet t({.r = 6});
+  ServiceNet t(small_options());
   publish_catalogue(t);
   const auto answer = t.search(KeywordSet({"music"}));
   std::set<ObjectId> ids;
@@ -55,7 +67,7 @@ TEST(Service, PublishSearchRoundTrip) {
 }
 
 TEST(Service, RankingOrderApplied) {
-  ServiceNet t({.r = 6});
+  ServiceNet t(small_options());
   publish_catalogue(t);
   KeywordSearchService::SearchOptions opts;
   opts.order = RankingPreference::kSpecificFirst;
@@ -68,7 +80,7 @@ TEST(Service, RankingOrderApplied) {
 }
 
 TEST(Service, RefinementsAndExpansionAttached) {
-  ServiceNet t({.r = 6});
+  ServiceNet t(small_options());
   publish_catalogue(t);
   KeywordSearchService::SearchOptions opts;
   opts.refinement_categories = 5;
@@ -81,7 +93,7 @@ TEST(Service, RefinementsAndExpansionAttached) {
 }
 
 TEST(Service, PinIsExact) {
-  ServiceNet t({.r = 6});
+  ServiceNet t(small_options());
   publish_catalogue(t);
   std::optional<KeywordSearchService::Answer> answer;
   t.service->pin(1, KeywordSet({"music", "mp3"}),
@@ -93,7 +105,7 @@ TEST(Service, PinIsExact) {
 }
 
 TEST(Service, BrowsePagesAreDisjoint) {
-  ServiceNet t({.r = 6});
+  ServiceNet t(small_options());
   for (ObjectId o = 1; o <= 17; ++o)
     t.service->publish(2, o, KeywordSet({"page", "v" + std::to_string(o)}));
   t.clock.run();
@@ -118,7 +130,7 @@ TEST(Service, BrowsePagesAreDisjoint) {
 }
 
 TEST(Service, ResolveFindsReplicaHolders) {
-  ServiceNet t({.r = 6, .replication_factor = 3});
+  ServiceNet t(small_options([](Options& o) { o.replication_factor = 3; }));
   publish_catalogue(t);
   std::optional<dht::Dolr::ReadResult> read;
   t.service->resolve(7, 2, [&](const dht::Dolr::ReadResult& r) { read = r; });
@@ -128,7 +140,7 @@ TEST(Service, ResolveFindsReplicaHolders) {
 }
 
 TEST(Service, WithdrawRemovesFromSearch) {
-  ServiceNet t({.r = 6});
+  ServiceNet t(small_options());
   publish_catalogue(t);
   t.service->withdraw(3, 2, KeywordSet({"music", "mp3", "live"}));
   t.clock.run();
@@ -137,7 +149,10 @@ TEST(Service, WithdrawRemovesFromSearch) {
 }
 
 TEST(Service, MirroredModeSurvivesFailuresWithRepair) {
-  ServiceNet t({.r = 6, .replication_factor = 3, .mirror_index = true});
+  ServiceNet t(small_options([](Options& o) {
+    o.replication_factor = 3;
+    o.mirror_index = true;
+  }));
   publish_catalogue(t);
   t.dht->fail(5);
   t.dht->fail(9);
@@ -149,7 +164,7 @@ TEST(Service, MirroredModeSurvivesFailuresWithRepair) {
 }
 
 TEST(Service, BrowseWorksInMirroredMode) {
-  ServiceNet t({.r = 6, .mirror_index = true});
+  ServiceNet t(small_options([](Options& o) { o.mirror_index = true; }));
   for (ObjectId o = 1; o <= 12; ++o)
     t.service->publish(2, o, KeywordSet({"page", "v" + std::to_string(o)}));
   t.clock.run();
@@ -170,7 +185,7 @@ TEST(Service, BrowseWorksInMirroredMode) {
 }
 
 TEST(Service, PinMissIsEmptyNotError) {
-  ServiceNet t({.r = 6});
+  ServiceNet t(small_options());
   publish_catalogue(t);
   std::optional<KeywordSearchService::Answer> answer;
   t.service->pin(1, KeywordSet({"does", "not", "exist"}),
@@ -185,7 +200,7 @@ TEST(Service, WorksOverPastryToo) {
   sim::EventQueue clock;
   sim::Network net(clock);
   auto pastry = dht::PastryNetwork::build(net, 24, {});
-  KeywordSearchService service(pastry, {.r = 6});
+  KeywordSearchService service(pastry, small_options());
   service.publish(2, 1, KeywordSet({"a", "b"}));
   clock.run();
   std::optional<KeywordSearchService::Answer> answer;

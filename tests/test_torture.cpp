@@ -182,6 +182,24 @@ TEST(Torture, ContinuousChurnHealsWithPlaneAndFailsWithout) {
   EXPECT_EQ(again.violations[0].detail, caught.violations[0].detail);
 }
 
+// Regressions for a false confirmation followed by the real death. A kill
+// also gets the victim's live ring predecessor confirmed (its prober was
+// the victim, so its pings went unanswered); a later round kills that
+// predecessor, which brings no fresh confirmation. The plane must still
+// drain what that death leaves. Seed 108 failed [convergence]; seed 143
+// failed [convergence] and [occupancy].
+TEST(Torture, ChurnPreset108ConvergesAfterALateDeathOfAConfirmedPeer) {
+  ScenarioRunner runner;
+  const ScenarioReport rep = runner.run(ScenarioConfig::churn_preset(108));
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+}
+
+TEST(Torture, ChurnPreset143ConvergesAfterALateDeathOfAConfirmedPeer) {
+  ScenarioRunner runner;
+  const ScenarioReport rep = runner.run(ScenarioConfig::churn_preset(143));
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+}
+
 TEST(Torture, ContinuousChurnPresetSweepIsGreen) {
   ScenarioRunner runner;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {

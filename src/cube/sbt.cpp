@@ -1,6 +1,5 @@
 #include "cube/sbt.hpp"
 
-#include <deque>
 #include <stdexcept>
 
 namespace hkws::cube {
@@ -24,12 +23,15 @@ std::optional<CubeId> SpanningBinomialTree::parent(CubeId v) const {
   return v ^ (1ULL << lowest_set_bit(diff));
 }
 
-std::vector<int> SpanningBinomialTree::child_dimensions(CubeId v) const {
+std::uint64_t SpanningBinomialTree::child_mask(CubeId v) const {
   // Free dimensions strictly below v's lowest root-differing bit; all free
   // dimensions for the root itself (p = -1 case of Def. 3.2).
   const std::uint64_t diff = v ^ root_;
-  std::uint64_t eligible = free_;
-  if (diff != 0) eligible &= low_mask(lowest_set_bit(diff));
+  return diff == 0 ? free_ : free_ & low_mask(lowest_set_bit(diff));
+}
+
+std::vector<int> SpanningBinomialTree::child_dimensions(CubeId v) const {
+  const std::uint64_t eligible = child_mask(v);
   std::vector<int> dims;
   dims.reserve(static_cast<std::size_t>(popcount64(eligible)));
   for_each_set_bit(eligible, [&](int i) { dims.push_back(i); });
@@ -43,18 +45,16 @@ std::vector<CubeId> SpanningBinomialTree::children(CubeId v) const {
 }
 
 std::vector<CubeId> SpanningBinomialTree::bfs_order() const {
-  // Exactly the paper's queue discipline: start with the root's neighbors
-  // (ascending dimension), then each popped node appends its children.
+  // Exactly the paper's queue discipline, with the output as the queue: the
+  // node under the read cursor appends its children in ascending dimension
+  // (the root first, so its neighbors lead).
   std::vector<CubeId> order;
   order.reserve(size());
   order.push_back(root_);
-  std::deque<CubeId> queue;
-  for (int d : child_dimensions(root_)) queue.push_back(root_ | (1ULL << d));
-  while (!queue.empty()) {
-    const CubeId v = queue.front();
-    queue.pop_front();
-    order.push_back(v);
-    for (int d : child_dimensions(v)) queue.push_back(v | (1ULL << d));
+  for (std::size_t next = 0; next < order.size(); ++next) {
+    const CubeId v = order[next];
+    for_each_set_bit(child_mask(v),
+                     [&](int d) { order.push_back(v | (1ULL << d)); });
   }
   return order;
 }

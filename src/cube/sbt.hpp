@@ -70,6 +70,9 @@ class SpanningBinomialTree {
   std::vector<CubeId> bottom_up_order() const;
 
  private:
+  /// Bit mask of child_dimensions(v).
+  std::uint64_t child_mask(CubeId v) const;
+
   CubeId root_;
   std::uint64_t free_;
 };

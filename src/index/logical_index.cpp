@@ -177,16 +177,18 @@ SearchResult LogicalIndex::search_top_down(cube::CubeId root,
       summary.contributors.emplace_back(w, static_cast<std::uint32_t>(c1));
     }
 
+    // Expand w's children before the stop check: stopping here leaves the
+    // search complete only if nothing, w's children included, is pending.
+    for (int i : cube_.zero_positions(w)) {
+      if (i >= d) break;  // zero_positions is ascending
+      queue.emplace_back(w | (1ULL << i), i);
+    }
     if (threshold != 0 && result.hits.size() >= threshold) {
       st.messages += 1;  // T_STOP(w -> v)
       stopped_early = !queue.empty();
       break;
     }
     st.messages += 1;  // T_CONT(w -> v)
-    for (int i : cube_.zero_positions(w)) {
-      if (i >= d) break;  // zero_positions is ascending
-      queue.emplace_back(w | (1ULL << i), i);
-    }
   }
 
   st.complete = !stopped_early;

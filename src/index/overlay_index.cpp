@@ -5,6 +5,8 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
+#include <utility>
 
 namespace hkws::index {
 
@@ -179,6 +181,25 @@ void OverlayIndex::deindex(sim::EndpointId from, ObjectId object,
                  });
 }
 
+// --- Retransmission guard ----------------------------------------------------
+
+template <typename Find, typename Expire>
+void OverlayIndex::arm(Guard& g, Find find, Expire expire) {
+  g.timer = net_.set_timer(resend_delay(++g.attempts), [this, find, expire] {
+    Guard* live = find();
+    if (live == nullptr) return;
+    live->timer = 0;
+    expire(live->attempts > cfg_.max_retries);
+  });
+}
+
+void OverlayIndex::note_retransmit(Request& req, std::uint64_t a,
+                                   std::uint64_t b) {
+  ++req.stats.retransmits;
+  net_.metrics().count("kws.retransmit");
+  emit(req.id, "retransmit", a, b);
+}
+
 // --- Pin search --------------------------------------------------------------
 
 void OverlayIndex::pin_search(sim::EndpointId searcher,
@@ -200,7 +221,6 @@ OverlayIndex::PinState* OverlayIndex::find_pin(std::uint64_t pin_id) {
 void OverlayIndex::pin_attempt(std::uint64_t pin_id) {
   PinState* pin = find_pin(pin_id);
   if (!pin) return;
-  ++pin->attempts;
   const cube::CubeId u = hasher_.responsible_node(pin->keywords);
   overlay_.route(
       pin->searcher, ring_key_of(u), "kws.pin",
@@ -220,7 +240,8 @@ void OverlayIndex::pin_attempt(std::uint64_t pin_id) {
                   [this, pin_id, hits = std::move(hits)] {
                     PinState* p2 = find_pin(pin_id);
                     if (!p2) return;  // duplicate reply of a retried attempt
-                    if (p2->timer != 0) net_.cancel_timer(p2->timer);
+                    if (p2->guard.timer != 0)
+                      net_.cancel_timer(p2->guard.timer);
                     SearchResult result;
                     result.hits = hits;
                     result.stats = p2->stats;
@@ -228,12 +249,12 @@ void OverlayIndex::pin_attempt(std::uint64_t pin_id) {
                     result.stats.nodes_contacted = 1;
                     result.stats.rounds = 1;
                     result.stats.complete = true;
-                    if (p2->attempts > 1) {
+                    if (p2->guard.attempts > 1) {
                       // A retry crossed a timeout: the serving peer may have
                       // changed under us, so the answer counts as degraded.
                       result.stats.degraded = true;
                       result.stats.failovers =
-                          static_cast<std::size_t>(p2->attempts - 1);
+                          static_cast<std::size_t>(p2->guard.attempts - 1);
                     }
                     SearchCallback cb = std::move(p2->done);
                     pins_.erase(pin_id);
@@ -242,28 +263,31 @@ void OverlayIndex::pin_attempt(std::uint64_t pin_id) {
       });
   PinState* p = find_pin(pin_id);
   if (!p) return;  // the route may complete in place
-  // Loss guard: route + reply under one retransmission timer, so a pin
+  // Loss guard: route + reply under one retransmission guard, so a pin
   // aimed at a peer that dies mid-query retries (and the re-route lands on
   // the surrogate owner) instead of hanging forever.
   if (cfg_.step_timeout == 0 || cfg_.failover_after == 0) return;
-  p->timer = net_.set_timer(resend_delay(p->attempts), [this, pin_id] {
-    PinState* p2 = find_pin(pin_id);
-    if (!p2) return;
-    p2->timer = 0;
-    if (p2->attempts > cfg_.max_retries) {
-      net_.metrics().count("kws.request_failed");
-      SearchResult result;
-      result.stats = p2->stats;
-      result.stats.failed = true;
-      SearchCallback cb = std::move(p2->done);
-      pins_.erase(pin_id);
-      cb(result);
-      return;
-    }
-    ++p2->stats.retransmits;
-    net_.metrics().count("kws.retransmit");
-    pin_attempt(pin_id);
-  });
+  arm(p->guard,
+      [this, pin_id]() -> Guard* {
+        PinState* p2 = find_pin(pin_id);
+        return p2 ? &p2->guard : nullptr;
+      },
+      [this, pin_id](bool spent) {
+        PinState* p2 = find_pin(pin_id);
+        if (spent) {
+          net_.metrics().count("kws.request_failed");
+          SearchResult result;
+          result.stats = p2->stats;
+          result.stats.failed = true;
+          SearchCallback cb = std::move(p2->done);
+          pins_.erase(pin_id);
+          cb(result);
+          return;
+        }
+        ++p2->stats.retransmits;
+        net_.metrics().count("kws.retransmit");
+        pin_attempt(pin_id);
+      });
 }
 
 // --- Superset search ----------------------------------------------------------
@@ -293,7 +317,6 @@ std::uint64_t OverlayIndex::superset_search(sim::EndpointId searcher,
 void OverlayIndex::begin_root_route(std::uint64_t req_id) {
   Request* req = find(req_id);
   if (!req) return;
-  ++req->root_attempts;
   overlay_.route(
       req->searcher, ring_key_of(req->root_cube), "kws.t_query",
       kCtrlBytes + req->query.size() * 12,
@@ -303,9 +326,9 @@ void OverlayIndex::begin_root_route(std::uint64_t req_id) {
         // timeout-triggered re-route that happened to survive after all.
         if (!r || r->root_resolved) return;
         r->root_resolved = true;
-        if (r->root_timer != 0) {
-          net_.cancel_timer(r->root_timer);
-          r->root_timer = 0;
+        if (r->root_guard.timer != 0) {
+          net_.cancel_timer(r->root_guard.timer);
+          r->root_guard.timer = 0;
         }
         r->root_peer = overlay_.endpoint_of(rr.owner);
         r->stats.messages += static_cast<std::size_t>(rr.hops);
@@ -331,29 +354,26 @@ void OverlayIndex::begin_root_route(std::uint64_t req_id) {
                       // coordinator at the owner after all.
                       if (!can_serve(r2->root_peer, r2->root_cube))
                         r2->root_peer = owner;
-                      start_top_down(*r2);
+                      start_at_root(*r2);
                     });
           return;
         }
-        start_top_down(*r);
+        start_at_root(*r);
       });
   if (cfg_.step_timeout == 0) return;
   Request* r = find(req_id);  // re-find: the route may complete in place
   if (r == nullptr || r->root_resolved) return;
-  r->root_timer = net_.set_timer(resend_delay(r->root_attempts),
-                                 [this, req_id] {
-    Request* r2 = find(req_id);
-    if (!r2 || r2->root_resolved) return;
-    r2->root_timer = 0;
-    if (r2->root_attempts > cfg_.max_retries) {
-      abort_request(req_id);
-      return;
-    }
-    ++r2->stats.retransmits;
-    net_.metrics().count("kws.retransmit");
-    emit(req_id, "retransmit", r2->root_cube);
-    begin_root_route(req_id);
-  });
+  arm(r->root_guard,
+      [this, req_id]() -> Guard* {
+        Request* r2 = find(req_id);
+        return r2 && !r2->root_resolved ? &r2->root_guard : nullptr;
+      },
+      [this, req_id](bool spent) {
+        if (spent) return abort_request(req_id);
+        Request* r2 = find(req_id);
+        note_retransmit(*r2, r2->root_cube);
+        begin_root_route(req_id);
+      });
 }
 
 void OverlayIndex::failover_root(std::uint64_t req_id) {
@@ -397,26 +417,24 @@ bool OverlayIndex::cancel(std::uint64_t request) {
   return true;
 }
 
-void OverlayIndex::start_top_down(Request& req) {
+void OverlayIndex::start_at_root(Request& req) {
   // The root examines its own index table first (paper step 0).
-  req.visit_order.push_back(req.root_cube);
-  const Visit& v0 = ensure_scan(req, req.root_cube, req.root_peer);
-  const std::size_t c0 = v0.c1;
+  req.plan.push_back(req.root_cube);
+  req.nodes.emplace_back();
+  const std::size_t c0 = ensure_scan(req, 0, req.root_peer).c1;
   req.collected += c0;
   if (c0 > 0)
     req.contributors.emplace_back(req.root_cube,
                                   static_cast<std::uint32_t>(c0));
 
   const cube::SpanningBinomialTree sbt(cube_, req.root_cube);
-  const bool subtree_trivial = sbt.size() == 1;
   if (req.threshold != 0 && req.collected >= req.threshold) {
-    req.stopped_early = !subtree_trivial;
-    finish(req.id);
+    finish(req.id, /*stopped_early=*/sbt.size() > 1);
     return;
   }
 
   // Try the root's query cache: a cached traversal summary lets us contact
-  // only the nodes known to contribute.
+  // only the nodes known to contribute, one per round.
   if (cfg_.cache_capacity != 0) {
     PeerState& ps = peer_state(req.root_peer);
     if (const auto cit = ps.caches.find(req.root_cube);
@@ -425,155 +443,232 @@ void OverlayIndex::start_top_down(Request& req) {
               cit->second.lookup(req.query, mutation_epoch_)) {
         if (cached->complete ||
             (req.threshold != 0 && total_count(*cached) >= req.threshold)) {
-          req.mode = Mode::kPlan;
           req.stats.cache_hit = true;
           req.record_in_cache = false;
-          req.plan_complete_means_complete = cached->complete;
+          req.plan_exhaustive = cached->complete;
           for (const auto& [node, count] : cached->contributors)
             if (node != req.root_cube) req.plan.push_back(node);
-          step_plan(req.id);
+          start_round(req.id);
           return;
         }
       }
     }
   }
 
-  switch (req.strategy) {
-    case SearchStrategy::kTopDownSequential: {
-      req.mode = Mode::kTopDown;
-      for (int i : cube_.zero_positions(req.root_cube))
-        req.queue.emplace_back(req.root_cube | (1ULL << i), i);
-      step_top_down(req.id);
-      return;
+  if (req.strategy == SearchStrategy::kBottomUpSequential) {
+    // Deepest nodes first; the root was already examined on arrival.
+    for (cube::CubeId w : sbt.bottom_up_order())
+      if (w != req.root_cube) req.plan.push_back(w);
+  } else {
+    req.plan = sbt.bfs_order();  // root first, as already scanned
+    req.by_depth = req.strategy == SearchStrategy::kLevelParallel;
+    if (req.by_depth) req.stats.levels = 1;  // the root's level
+  }
+  start_round(req.id);
+}
+
+void OverlayIndex::start_round(std::uint64_t req_id) {
+  Request* req = find(req_id);
+  if (!req) return;
+  const std::size_t begin = req->nodes.size();
+  if (begin == req->plan.size()) {
+    finish(req_id, /*stopped_early=*/false);
+    return;
+  }
+  // A sequential round is the next plan node; a level-parallel round is
+  // the run of plan nodes at the next SBT depth.
+  std::size_t end = begin + 1;
+  if (req->by_depth) {
+    const auto depth_of = [&](std::size_t i) {
+      return popcount64(req->plan[i] ^ req->root_cube);
+    };
+    while (end < req->plan.size() && depth_of(end) == depth_of(begin)) ++end;
+    ++req->stats.levels;
+    emit(req_id, "level", static_cast<std::uint64_t>(depth_of(begin)),
+         end - begin);
+  }
+  ++req->stats.rounds;
+  req->outstanding = end - begin;
+  req->nodes.resize(end);
+  // req must not be dereferenced after dispatching: visit_node re-finds it.
+  // Every level goes through the coalescing path, one-node levels too, so
+  // the replica rotation advances the same way whatever the level's width.
+  if (req->by_depth && cfg_.coalesce_visits) {
+    visit_coalesced(req_id, begin, end);
+    return;
+  }
+  for (std::size_t slot = begin; slot < end; ++slot) visit_node(req_id, slot);
+}
+
+void OverlayIndex::visit_coalesced(std::uint64_t req_id, std::size_t begin,
+                                   std::size_t end) {
+  Request* req = find(req_id);
+  if (!req) return;
+  // Group this round's nodes by live cached contact; two or more nodes
+  // co-hosted at one peer travel as a single VisitBatch wire message.
+  // Nodes without a usable contact (cold cache, dead peer) go through
+  // visit_node, which handles DHT routing and surrogate failover. Hot cells
+  // rotate onto a replica holder, which joins the grouping like any
+  // contact, so a replicated node still coalesces with whatever else that
+  // peer serves this round.
+  struct Dest {
+    cube::CubeId w = 0;
+    sim::EndpointId host = 0;  ///< co-host, 0 = none
+    bool replica = false;      ///< host is a picked replica holder
+  };
+  std::vector<Dest> dests(end - begin);
+  std::unordered_map<sim::EndpointId, std::vector<std::size_t>> groups;
+  {
+    const PeerState& ps = peer_state(req->root_peer);
+    for (std::size_t slot = begin; slot < end; ++slot) {
+      Dest& d = dests[slot - begin];
+      d.w = req->plan[slot];
+      if (const sim::EndpointId rep = pick_replica(d.w); rep != 0) {
+        d.host = rep;
+        d.replica = true;
+      } else if (const auto it = ps.contacts.find(d.w);
+                 it != ps.contacts.end() && net_.is_registered(it->second)) {
+        d.host = it->second;
+      }
+      if (d.host != 0) groups[d.host].push_back(slot);
     }
-    case SearchStrategy::kBottomUpSequential: {
-      req.mode = Mode::kPlan;
-      // Deepest nodes first; the root was already examined on arrival.
-      for (cube::CubeId w : sbt.bottom_up_order())
-        if (w != req.root_cube) req.plan.push_back(w);
-      step_plan(req.id);
-      return;
+  }
+  // Dispatch in plan order: a group goes out when its first member is
+  // reached, so the wire order is deterministic.
+  std::unordered_set<sim::EndpointId> batched;
+  for (std::size_t slot = begin; slot < end; ++slot) {
+    const Dest& d = dests[slot - begin];
+    if (d.host == 0 || groups[d.host].size() < 2) {
+      // Already-picked replica singles go out directly — re-picking in
+      // visit_node would advance the rotation cursor a second time.
+      if (d.replica)
+        visit_replica(req_id, slot, d.host);
+      else
+        visit_node(req_id, slot);
+      continue;
     }
-    case SearchStrategy::kLevelParallel: {
-      req.mode = Mode::kLevels;
-      req.levels = sbt.levels();
-      req.level = 1;  // level 0 is the root
-      req.stats.levels = 1;
-      start_level(req.id);
-      return;
+    if (d.replica) {
+      ++replica_spread_visits_;
+      net_.metrics().count("kws.replica_spread");
+      emit(req_id, "spread", d.w, d.host);
     }
+    if (batched.insert(d.host).second)
+      send_visit_batch(req_id, d.host, groups[d.host]);
   }
 }
 
-OverlayIndex::Visit& OverlayIndex::ensure_scan(Request& req, cube::CubeId w,
-                                               sim::EndpointId peer,
-                                               bool ship) {
-  auto [it, fresh] = req.visits.try_emplace(w);
-  Visit& v = it->second;
-  if (fresh) {
-    v.peer = peer;
+OverlayIndex::NodeRecord::Target& OverlayIndex::ensure_scan(
+    Request& req, std::size_t slot, sim::EndpointId peer, bool ship) {
+  const cube::CubeId w = req.plan[slot];
+  NodeRecord::Target& t = req.nodes[slot].target;
+  if (!t.scanned) {
+    t.scanned = true;
+    t.peer = peer;
     if (cfg_.hot.enabled) popularity_.note(net_.now(), w);
     PeerState& ps = peer_state(peer);
+    bool truncated = false;  // the want limit cut matching objects off
     // Replica holders scan their write-through copy; the ordered entry map
     // makes the batch byte-identical to the primary's scan.
     if (const IndexTable* table = table_at(ps, w)) {
       const std::size_t want = room(req);
       HitBatchPool::Batch batch = hit_pool_.acquire();
       table->supersets_into(req.query, want == kUnlimited ? 0 : want,
-                            &v.truncated, *batch);
+                            &truncated, *batch);
       // An empty buffer goes straight back to the pool.
-      if (!batch->empty()) v.batch = std::move(batch);
+      if (!batch->empty()) t.batch = std::move(batch);
     }
-    v.c1 = v.batch ? v.batch->size() : 0;
+    t.c1 = t.batch ? t.batch->size() : 0;
     // Control verdict is fixed at first scan so retransmitted arrivals
     // replay the identical reply (collected may have moved on since). The
     // table's truncation indicator stands in for "the want limit filled":
     // a cut-off scan means the threshold is reached with this batch, even
     // when the cut landed mid-way through one entry's object set.
-    v.stop = req.mode != Mode::kLevels && req.threshold != 0 &&
-             (v.truncated || req.collected + v.c1 >= req.threshold);
-    if (v.c1 > 0) ++req.results_expected;
+    t.stop = !req.by_depth && req.threshold != 0 &&
+             (truncated || req.collected + t.c1 >= req.threshold);
+    if (t.c1 > 0) ++req.results_expected;
     emit(req.id, "scan", w, peer);
   }
-  if (v.c1 > 0 && ship) {
+  if (t.c1 > 0 && ship) {
     // Matching IDs travel directly to the searcher (paper protocol); a
     // retransmitted query replays the same batch, deduplicated there. The
     // closure shares the pooled buffer by pointer — no payload copy.
     ++req.stats.messages;
-    net_.send(peer, req.searcher, "kws.results", v.c1 * kHitBytes,
-              [this, id = req.id, w, batch = v.batch] {
-                on_results(id, w, batch);
+    net_.send(peer, req.searcher, "kws.results", t.c1 * kHitBytes,
+              [this, id = req.id, slot, batch = t.batch] {
+                on_results(id, slot, batch);
               });
     if (cfg_.step_timeout == 0) {
       // No retransmission: the memo will never be replayed. Drop its
       // reference; the in-flight message keeps the buffer alive and it
       // returns to the pool once delivered.
-      v.batch.reset();
+      t.batch.reset();
     }
   }
-  return v;
+  return t;
 }
 
-void OverlayIndex::on_results(std::uint64_t req_id, cube::CubeId w,
+void OverlayIndex::on_results(std::uint64_t req_id, std::size_t slot,
                               const HitBatchPool::Batch& batch) {
   Request* r = find(req_id);
   if (!r) return;
-  if (!r->delivered.insert(w).second) return;  // duplicate replay
-  r->node_hits.emplace(w, batch);
+  NodeRecord::Searcher& s = r->nodes[slot].searcher;
+  if (s.delivered) return;  // duplicate replay
+  s.delivered = true;
+  s.hits = batch;
   ++r->results_received;
   maybe_complete(req_id);
 }
 
 std::vector<Hit> OverlayIndex::assemble_hits(const Request& req) const {
   std::size_t total = 0;
-  for (const auto& [w, batch] : req.node_hits) total += batch->size();
+  for (const NodeRecord& n : req.nodes)
+    if (n.searcher.hits) total += n.searcher.hits->size();
   std::vector<Hit> out;
   out.reserve(total);
-  for (const cube::CubeId w : req.visit_order) {
-    const auto it = req.node_hits.find(w);
-    if (it == req.node_hits.end()) continue;
-    out.insert(out.end(), it->second->begin(), it->second->end());
-  }
+  for (const NodeRecord& n : req.nodes)
+    if (n.searcher.hits)
+      out.insert(out.end(), n.searcher.hits->begin(), n.searcher.hits->end());
   return out;
 }
 
-void OverlayIndex::on_query_arrived(std::uint64_t req_id, cube::CubeId w,
+bool OverlayIndex::drop_stale_arrival(Request& req, std::size_t slot,
+                                      sim::EndpointId peer) {
+  const cube::CubeId w = req.plan[slot];
+  if (!cfg_.hot.enabled || cfg_.step_timeout == 0 ||
+      req.nodes[slot].target.scanned || can_serve(peer, w))
+    return false;
+  PeerState& ps = peer_state(req.root_peer);
+  if (const auto it = ps.contacts.find(w);
+      it != ps.contacts.end() && it->second == peer)
+    ps.contacts.erase(it);
+  return true;
+}
+
+void OverlayIndex::on_query_arrived(std::uint64_t req_id, std::size_t slot,
                                     sim::EndpointId peer) {
   Request* req = find(req_id);
-  if (!req) return;
-  // Demoted while the spread visit was in flight: drop the arrival and let
-  // the step timer retransmit through a fresh pick (only when timers exist
-  // to recover — without them a drop would hang the search). Un-learn the
-  // contact if it pointed here, so the retransmit re-resolves instead of
-  // repeating the drop forever.
-  if (cfg_.hot.enabled && cfg_.step_timeout != 0 &&
-      !req->visits.contains(w) && !can_serve(peer, w)) {
-    PeerState& ps = peer_state(req->root_peer);
-    if (const auto it = ps.contacts.find(w);
-        it != ps.contacts.end() && it->second == peer)
-      ps.contacts.erase(it);
-    return;
-  }
-  if (!req->visits.contains(w)) ++req->stats.nodes_contacted;
-  const Visit& v = ensure_scan(*req, w, peer);
+  if (!req || drop_stale_arrival(*req, slot, peer)) return;
+  if (!req->nodes[slot].target.scanned) ++req->stats.nodes_contacted;
+  const NodeRecord::Target& t = ensure_scan(*req, slot, peer);
   // T_CONT carries the child list L; T_STOP ends the search. Either way one
   // direct control message back to the coordinator (replayed on
   // retransmitted queries so a lost reply cannot stall the coordinator).
   ++req->stats.messages;
-  net_.send(peer, req->root_peer, v.stop ? "kws.t_stop" : "kws.t_cont",
-            kCtrlBytes, [this, req_id, w, peer, c1 = v.c1] {
-              on_node_answered(req_id, w, peer, c1);
+  net_.send(peer, req->root_peer, t.stop ? "kws.t_stop" : "kws.t_cont",
+            kCtrlBytes, [this, req_id, slot, peer, c1 = t.c1] {
+              on_node_answered(req_id, slot, peer, c1);
             });
 }
 
-void OverlayIndex::visit_node(std::uint64_t req_id, cube::CubeId w) {
+void OverlayIndex::visit_node(std::uint64_t req_id, std::size_t slot) {
   Request* req = find(req_id);
   if (!req) return;
+  const cube::CubeId w = req->plan[slot];
   // Hot cell: rotate the visit across owner + replica holders. A lost
-  // spread visit re-enters here via the step timer and re-picks, so loss
+  // spread visit re-enters here via the step guard and re-picks, so loss
   // degrades to the usual individual retransmission.
   if (const sim::EndpointId rep = pick_replica(w); rep != 0) {
-    visit_replica(req_id, w, rep);
+    visit_replica(req_id, slot, rep);
     return;
   }
   send_to_cube_node(
@@ -581,8 +676,8 @@ void OverlayIndex::visit_node(std::uint64_t req_id, cube::CubeId w) {
       [this, req_id](std::size_t n) {
         if (Request* r = find(req_id)) r->stats.messages += n;
       },
-      [this, req_id, w](sim::EndpointId peer) {
-        on_query_arrived(req_id, w, peer);
+      [this, req_id, slot](sim::EndpointId peer) {
+        on_query_arrived(req_id, slot, peer);
       },
       [this, req_id, w] {
         // A learned contact died: the step falls back to DHT routing and
@@ -595,37 +690,30 @@ void OverlayIndex::visit_node(std::uint64_t req_id, cube::CubeId w) {
         net_.metrics().count("kws.failover");
         emit(req_id, "failover", w, 2);
       });
-  arm_step_timer(req_id, w);
+  arm_step_guard(req_id, slot);
 }
 
-void OverlayIndex::arm_step_timer(std::uint64_t req_id, cube::CubeId w) {
+void OverlayIndex::arm_step_guard(std::uint64_t req_id, std::size_t slot) {
   if (cfg_.step_timeout == 0) return;
   Request* req = find(req_id);
-  if (!req || req->answered.contains(w)) return;
-  if (const auto it = req->step_timers.find(w); it != req->step_timers.end())
-    net_.cancel_timer(it->second);
-  const auto attempts_it = req->step_attempts.find(w);
-  const int attempt =
-      (attempts_it == req->step_attempts.end() ? 0 : attempts_it->second) + 1;
-  req->step_timers[w] =
-      net_.set_timer(resend_delay(attempt), [this, req_id, w] {
+  if (!req || req->nodes[slot].coord.answered) return;
+  arm(req->nodes[slot].coord.step,
+      [this, req_id, slot]() -> Guard* {
         Request* r = find(req_id);
-        if (!r || r->answered.contains(w)) return;
-        r->step_timers.erase(w);
-        int& attempts = r->step_attempts[w];
-        if (++attempts > cfg_.max_retries) {
-          abort_request(req_id);
-          return;
-        }
-        ++r->stats.retransmits;
-        net_.metrics().count("kws.retransmit");
-        emit(req_id, "retransmit", w);
+        if (!r || r->nodes[slot].coord.answered) return nullptr;
+        return &r->nodes[slot].coord.step;
+      },
+      [this, req_id, slot](bool spent) {
+        if (spent) return abort_request(req_id);
+        Request* r = find(req_id);
+        note_retransmit(*r, r->plan[slot]);
         // Repeated timeouts on one step usually mean the coordinator (or
         // its stale idea of the root) is dead, not that messages are merely
         // slow: re-resolve the root before burning more of the budget.
-        if (cfg_.failover_after != 0 && attempts >= cfg_.failover_after)
+        if (cfg_.failover_after != 0 &&
+            r->nodes[slot].coord.step.attempts >= cfg_.failover_after)
           failover_root(req_id);
-        visit_node(req_id, w);
+        visit_node(req_id, slot);
       });
 }
 
@@ -654,129 +742,27 @@ void OverlayIndex::send_to_cube_node(
                  });
 }
 
-void OverlayIndex::step_top_down(std::uint64_t req_id) {
-  Request* req = find(req_id);
-  if (!req) return;
-  if (req->queue.empty()) {
-    req->stopped_early = false;
-    finish(req_id);
-    return;
-  }
-  const cube::CubeId w = req->queue.front().first;
-  req->queue.pop_front();
-  ++req->stats.rounds;
-  req->visit_order.push_back(w);
-  visit_node(req_id, w);
-}
-
-void OverlayIndex::step_plan(std::uint64_t req_id) {
-  Request* req = find(req_id);
-  if (!req) return;
-  if (req->plan_pos >= req->plan.size()) {
-    req->stopped_early = false;
-    finish(req_id);
-    return;
-  }
-  const cube::CubeId w = req->plan[req->plan_pos++];
-  ++req->stats.rounds;
-  req->visit_order.push_back(w);
-  visit_node(req_id, w);
-}
-
-void OverlayIndex::start_level(std::uint64_t req_id) {
-  Request* req = find(req_id);
-  if (!req) return;
-  if (req->level >= req->levels.size()) {
-    req->stopped_early = false;
-    finish(req_id);
-    return;
-  }
-  // Copy: visit_node/send_visit_batch below may touch peers_, and req
-  // itself must not be dereferenced after dispatching (a local round trip
-  // could complete the request in place).
-  const std::vector<cube::CubeId> nodes = req->levels[req->level];
-  ++req->level;
-  ++req->stats.levels;
-  ++req->stats.rounds;
-  req->outstanding = nodes.size();
-  emit(req_id, "level", req->level - 1, nodes.size());
-  for (const cube::CubeId w : nodes) req->visit_order.push_back(w);
-
-  if (cfg_.coalesce_visits) {
-    // Group this round's nodes by live cached contact; two or more nodes
-    // co-hosted at one peer travel as a single VisitBatch wire message.
-    // Nodes without a usable contact (cold cache, dead peer) go through
-    // visit_node, which handles DHT routing and surrogate failover.
-    std::unordered_map<sim::EndpointId, std::vector<cube::CubeId>> groups;
-    std::unordered_map<cube::CubeId, sim::EndpointId> co_host;
-    // Hot cells in this round rotate onto a replica holder; the holder
-    // joins the co-host grouping like any contact, so a replicated node
-    // still coalesces with whatever else that peer serves this round.
-    std::unordered_map<cube::CubeId, sim::EndpointId> replica_dest;
-    {
-      const PeerState& ps = peer_state(req->root_peer);
-      for (const cube::CubeId w : nodes) {
-        if (const sim::EndpointId rep = pick_replica(w); rep != 0) {
-          replica_dest.emplace(w, rep);
-          groups[rep].push_back(w);
-          co_host.emplace(w, rep);
-          continue;
-        }
-        const auto it = ps.contacts.find(w);
-        if (it != ps.contacts.end() && net_.is_registered(it->second)) {
-          groups[it->second].push_back(w);
-          co_host.emplace(w, it->second);
-        }
-      }
-    }
-    // Dispatch in level order: a group goes out when its first member is
-    // reached, so the wire order is deterministic.
-    std::unordered_set<sim::EndpointId> batched;
-    for (const cube::CubeId w : nodes) {
-      const auto cit = co_host.find(w);
-      if (cit == co_host.end() || groups[cit->second].size() < 2) {
-        // Already-picked replica singles go out directly — re-picking in
-        // visit_node would advance the rotation cursor a second time.
-        if (const auto rit = replica_dest.find(w); rit != replica_dest.end())
-          visit_replica(req_id, w, rit->second);
-        else
-          visit_node(req_id, w);
-        continue;
-      }
-      if (replica_dest.contains(w)) {
-        ++replica_spread_visits_;
-        net_.metrics().count("kws.replica_spread");
-        emit(req_id, "spread", w, cit->second);
-      }
-      if (batched.insert(cit->second).second)
-        send_visit_batch(req_id, cit->second, groups[cit->second]);
-    }
-    return;
-  }
-  for (const cube::CubeId w : nodes) visit_node(req_id, w);
-}
-
 void OverlayIndex::send_visit_batch(std::uint64_t req_id, sim::EndpointId peer,
-                                    const std::vector<cube::CubeId>& nodes) {
+                                    const std::vector<std::size_t>& slots) {
   Request* req = find(req_id);
   if (!req) return;
   ++req->stats.messages;
   ++req->stats.coalesced_batches;
-  req->stats.coalesced_visits += nodes.size();
-  net_.metrics().count("kws.coalesced_visits", nodes.size());
-  emit(req_id, "coalesce", peer, nodes.size());
+  req->stats.coalesced_visits += slots.size();
+  net_.metrics().count("kws.coalesced_visits", slots.size());
+  emit(req_id, "coalesce", peer, slots.size());
   net_.send(req->root_peer, peer, "kws.visit_batch",
-            kCtrlBytes + nodes.size() * 8,
-            [this, req_id, peer, nodes] {
-              on_visit_batch_arrived(req_id, nodes, peer);
+            kCtrlBytes + slots.size() * 8,
+            [this, req_id, peer, slots] {
+              on_visit_batch_arrived(req_id, slots, peer);
             });
   // The usual per-node step guards: a lost batch (or reply) retransmits
   // each node individually via visit_node, replaying the memoized scans.
-  for (const cube::CubeId w : nodes) arm_step_timer(req_id, w);
+  for (const std::size_t slot : slots) arm_step_guard(req_id, slot);
 }
 
 void OverlayIndex::on_visit_batch_arrived(
-    std::uint64_t req_id, const std::vector<cube::CubeId>& nodes,
+    std::uint64_t req_id, const std::vector<std::size_t>& slots,
     sim::EndpointId peer) {
   Request* req = find(req_id);
   if (!req) return;
@@ -785,62 +771,56 @@ void OverlayIndex::on_visit_batch_arrived(
   // result message carrying per-node batches to the searcher, one control
   // reply carrying per-node verdicts to the coordinator. Nodes with empty
   // batches ride along in the reply for free.
-  std::vector<std::pair<cube::CubeId, HitBatchPool::Batch>> batches;
-  std::vector<std::pair<cube::CubeId, std::size_t>> verdicts;
+  std::vector<std::pair<std::size_t, HitBatchPool::Batch>> batches;
+  std::vector<std::pair<std::size_t, std::size_t>> verdicts;
   std::size_t total_hits = 0;
-  for (const cube::CubeId w : nodes) {
-    // Same demotion race as on_query_arrived: leave the node out of the
-    // reply (its step timer retransmits it individually) and un-learn the
-    // stale contact so the retransmit re-resolves.
-    if (cfg_.hot.enabled && cfg_.step_timeout != 0 &&
-        !req->visits.contains(w) && !can_serve(peer, w)) {
-      PeerState& ps = peer_state(req->root_peer);
-      if (const auto it = ps.contacts.find(w);
-          it != ps.contacts.end() && it->second == peer)
-        ps.contacts.erase(it);
-      continue;
-    }
-    if (!req->visits.contains(w)) ++req->stats.nodes_contacted;
-    const Visit& v = ensure_scan(*req, w, peer, /*ship=*/false);
-    verdicts.emplace_back(w, v.c1);
-    if (v.c1 > 0) {
-      batches.emplace_back(w, v.batch);  // shares the buffer, no copy
-      total_hits += v.c1;
+  for (const std::size_t slot : slots) {
+    // A stale arrival is left out of the reply; its step guard
+    // retransmits it individually.
+    if (drop_stale_arrival(*req, slot, peer)) continue;
+    if (!req->nodes[slot].target.scanned) ++req->stats.nodes_contacted;
+    const NodeRecord::Target& t = ensure_scan(*req, slot, peer, /*ship=*/false);
+    verdicts.emplace_back(slot, t.c1);
+    if (t.c1 > 0) {
+      batches.emplace_back(slot, t.batch);  // shares the buffer, no copy
+      total_hits += t.c1;
     }
   }
   if (cfg_.step_timeout == 0) {
     // No retransmission: the memos will never be replayed. The merged
     // result message below still holds its own references.
-    for (const cube::CubeId w : nodes) req->visits[w].batch.reset();
+    for (const std::size_t slot : slots) req->nodes[slot].target.batch.reset();
   }
   if (total_hits > 0) {
     ++req->stats.messages;
     net_.send(peer, req->searcher, "kws.batch_results",
               total_hits * kHitBytes + batches.size() * 8,
               [this, req_id, batches = std::move(batches)] {
-                for (const auto& [w, batch] : batches)
-                  on_results(req_id, w, batch);
+                for (const auto& [slot, batch] : batches)
+                  on_results(req_id, slot, batch);
               });
   }
   ++req->stats.messages;
   net_.send(peer, req->root_peer, "kws.batch_reply",
             kCtrlBytes + verdicts.size() * 12,
             [this, req_id, peer, verdicts = std::move(verdicts)] {
-              for (const auto& [w, c1] : verdicts)
-                on_node_answered(req_id, w, peer, c1);
+              for (const auto& [slot, c1] : verdicts)
+                on_node_answered(req_id, slot, peer, c1);
             });
 }
 
-void OverlayIndex::on_node_answered(std::uint64_t req_id, cube::CubeId w,
+void OverlayIndex::on_node_answered(std::uint64_t req_id, std::size_t slot,
                                     sim::EndpointId peer, std::size_t c1) {
   Request* req = find(req_id);
   if (!req) return;
-  if (!req->answered.insert(w).second) return;  // duplicate control reply
-  if (const auto it = req->step_timers.find(w); it != req->step_timers.end()) {
-    net_.cancel_timer(it->second);
-    req->step_timers.erase(it);
+  NodeRecord::Coordinator& coord = req->nodes[slot].coord;
+  if (coord.answered) return;  // duplicate control reply
+  coord.answered = true;
+  if (coord.step.timer != 0) {
+    net_.cancel_timer(coord.step.timer);
+    coord.step.timer = 0;
   }
-  req->step_attempts.erase(w);
+  const cube::CubeId w = req->plan[slot];
   req->collected += c1;
   if (c1 > 0)
     req->contributors.emplace_back(w, static_cast<std::uint32_t>(c1));
@@ -852,60 +832,20 @@ void OverlayIndex::on_node_answered(std::uint64_t req_id, cube::CubeId w,
   // that can no longer serve the node.
   if (peer == peer_of(w)) peer_state(req->root_peer).contacts[w] = peer;
 
-  switch (req->mode) {
-    case Mode::kTopDown: {
-      if (req->threshold != 0 && req->collected >= req->threshold) {
-        req->stopped_early = !req->queue.empty();
-        finish(req_id);
-        return;
-      }
-      // Expand children: free dimensions below the arrival dimension. The
-      // arrival dimension is w's lowest set bit that the root lacks.
-      const std::uint64_t diff = w ^ req->root_cube;
-      const int d = lowest_set_bit(diff);
-      for (int i : cube_.zero_positions(w)) {
-        if (i >= d) break;
-        req->queue.emplace_back(w | (1ULL << i), i);
-      }
-      step_top_down(req_id);
-      return;
-    }
-    case Mode::kPlan: {
-      if (req->threshold != 0 && req->collected >= req->threshold) {
-        req->stopped_early = req->plan_pos < req->plan.size();
-        finish(req_id);
-        return;
-      }
-      step_plan(req_id);
-      return;
-    }
-    case Mode::kLevels: {
-      if (req->outstanding > 0) --req->outstanding;
-      if (req->outstanding != 0) return;
-      if (req->threshold != 0 && req->collected >= req->threshold) {
-        req->stopped_early = req->level < req->levels.size();
-        finish(req_id);
-        return;
-      }
-      start_level(req_id);
-      return;
-    }
+  // Every answer belongs to the current round: the next round starts only
+  // once all of this one's nodes have answered.
+  if (--req->outstanding != 0) return;
+  if (req->threshold != 0 && req->collected >= req->threshold) {
+    finish(req_id, /*stopped_early=*/req->nodes.size() < req->plan.size());
+    return;
   }
+  start_round(req_id);
 }
 
-void OverlayIndex::finish(std::uint64_t req_id) {
+void OverlayIndex::finish(std::uint64_t req_id, bool stopped_early) {
   Request* req = find(req_id);
   if (!req) return;
-  switch (req->mode) {
-    case Mode::kTopDown:
-    case Mode::kLevels:
-      req->stats.complete = !req->stopped_early;
-      break;
-    case Mode::kPlan:
-      req->stats.complete =
-          !req->stopped_early && req->plan_complete_means_complete;
-      break;
-  }
+  req->stats.complete = !stopped_early && req->plan_exhaustive;
 
   if (cfg_.cache_capacity != 0 && req->record_in_cache) {
     PeerState& ps = peer_state(req->root_peer);
@@ -924,86 +864,84 @@ void OverlayIndex::finish(std::uint64_t req_id) {
 void OverlayIndex::send_done(std::uint64_t req_id) {
   Request* req = find(req_id);
   if (!req || req->done_received) return;
-  ++req->done_attempts;
   ++req->stats.messages;  // the final done notification to the searcher
   net_.send(req->root_peer, req->searcher, "kws.done", kCtrlBytes,
             [this, req_id] {
               Request* r = find(req_id);
               if (!r || r->done_received) return;
               r->done_received = true;
-              if (r->done_timer != 0) {
-                net_.cancel_timer(r->done_timer);
-                r->done_timer = 0;
+              if (r->done_guard.timer != 0) {
+                net_.cancel_timer(r->done_guard.timer);
+                r->done_guard.timer = 0;
               }
               maybe_complete(req_id);
             });
   if (cfg_.step_timeout == 0) return;
-  req->done_timer = net_.set_timer(resend_delay(req->done_attempts),
-                                   [this, req_id] {
-    Request* r = find(req_id);
-    if (!r || r->done_received) return;
-    r->done_timer = 0;
-    if (r->done_attempts > cfg_.max_retries) {
-      abort_request(req_id);
-      return;
-    }
-    ++r->stats.retransmits;
-    net_.metrics().count("kws.retransmit");
-    emit(req_id, "retransmit", r->root_cube, 1);
-    send_done(req_id);
-  });
+  arm(req->done_guard,
+      [this, req_id]() -> Guard* {
+        Request* r = find(req_id);
+        return r && !r->done_received ? &r->done_guard : nullptr;
+      },
+      [this, req_id](bool spent) {
+        if (spent) return abort_request(req_id);
+        Request* r = find(req_id);
+        note_retransmit(*r, r->root_cube, 1);
+        send_done(req_id);
+      });
 }
 
-void OverlayIndex::arm_repair_timer(std::uint64_t req_id) {
+void OverlayIndex::arm_repair_guard(std::uint64_t req_id) {
   Request* req = find(req_id);
-  if (!req || req->repair_timer != 0) return;
-  if (req->repair_attempts >= cfg_.max_retries) {
+  if (!req || req->repair_guard.timer != 0) return;
+  // The one guard that gives up before arming: re-ships happen on expiry,
+  // so once max_retries rounds of them failed there is nothing to wait for.
+  if (req->repair_guard.attempts >= cfg_.max_retries) {
     abort_request(req_id);
     return;
   }
-  ++req->repair_attempts;
-  req->repair_timer = net_.set_timer(resend_delay(req->repair_attempts),
-                                     [this, req_id] {
-    Request* r = find(req_id);
-    if (!r) return;
-    r->repair_timer = 0;
-    for (auto& [node, v] : r->visits) {
-      if (v.c1 == 0 || r->delivered.contains(node)) continue;
-      if (cfg_.failover_after != 0 && !net_.is_registered(v.peer)) {
-        // The batch's origin died with the batch still undelivered: the
-        // hits are unrecoverable until background repair re-homes the
-        // entries. Serve what arrived as a degraded result instead of
-        // burning the budget re-shipping from a dead peer.
-        r->delivered.insert(node);
-        ++r->results_received;
-        ++r->stats.failovers;
-        r->stats.degraded = true;
-        r->stats.complete = false;
-        net_.metrics().count("kws.failover");
-        emit(req_id, "failover", node, 1);
-        continue;
-      }
-      ++r->stats.retransmits;
-      ++r->stats.messages;
-      net_.metrics().count("kws.retransmit");
-      emit(req_id, "retransmit", node, 2);
-      net_.send(v.peer, r->searcher, "kws.results", v.c1 * kHitBytes,
-                [this, req_id, w = node, batch = v.batch] {
-                  on_results(req_id, w, batch);
-                });
-    }
-    maybe_complete(req_id);  // arms the next round if batches are lost again
-  });
+  arm(req->repair_guard,
+      [this, req_id]() -> Guard* {
+        Request* r = find(req_id);
+        return r ? &r->repair_guard : nullptr;
+      },
+      [this, req_id](bool /*spent: never, checked before arming*/) {
+        Request* r = find(req_id);
+        for (std::size_t slot = 0; slot < r->nodes.size(); ++slot) {
+          NodeRecord& n = r->nodes[slot];
+          if (n.target.c1 == 0 || n.searcher.delivered) continue;
+          const cube::CubeId w = r->plan[slot];
+          if (cfg_.failover_after != 0 && !net_.is_registered(n.target.peer)) {
+            // The batch's origin died with the batch still undelivered: the
+            // hits are unrecoverable until background repair re-homes the
+            // entries. Serve what arrived as a degraded result instead of
+            // burning the budget re-shipping from a dead peer.
+            n.searcher.delivered = true;
+            ++r->results_received;
+            ++r->stats.failovers;
+            r->stats.degraded = true;
+            r->stats.complete = false;
+            net_.metrics().count("kws.failover");
+            emit(req_id, "failover", w, 1);
+            continue;
+          }
+          ++r->stats.messages;
+          note_retransmit(*r, w, 2);
+          net_.send(n.target.peer, r->searcher, "kws.results",
+                    n.target.c1 * kHitBytes,
+                    [this, req_id, slot, batch = n.target.batch] {
+                      on_results(req_id, slot, batch);
+                    });
+        }
+        maybe_complete(req_id);  // arms the next round if batches are lost
+      });
 }
 
 void OverlayIndex::release_timers(Request& req) {
-  net::Transport& clock = net_;
-  if (req.root_timer != 0) clock.cancel_timer(req.root_timer);
-  if (req.done_timer != 0) clock.cancel_timer(req.done_timer);
-  if (req.repair_timer != 0) clock.cancel_timer(req.repair_timer);
-  req.root_timer = req.done_timer = req.repair_timer = 0;
-  for (const auto& [node, timer] : req.step_timers) clock.cancel_timer(timer);
-  req.step_timers.clear();
+  for (Guard* g : {&req.root_guard, &req.done_guard, &req.repair_guard})
+    if (g->timer != 0) net_.cancel_timer(std::exchange(g->timer, 0));
+  for (NodeRecord& n : req.nodes)
+    if (n.coord.step.timer != 0)
+      net_.cancel_timer(std::exchange(n.coord.step.timer, 0));
 }
 
 void OverlayIndex::abort_request(std::uint64_t req_id) {
@@ -1028,7 +966,7 @@ void OverlayIndex::maybe_complete(std::uint64_t req_id) {
   if (!req->done_received || req->results_received != req->results_expected) {
     // A result batch can be lost even though the done arrived; after a
     // grace timeout re-ship whatever the searcher is still missing.
-    if (req->done_received && cfg_.step_timeout != 0) arm_repair_timer(req_id);
+    if (req->done_received && cfg_.step_timeout != 0) arm_repair_guard(req_id);
     return;
   }
   release_timers(*req);
@@ -1056,6 +994,7 @@ std::uint64_t OverlayIndex::open_cumulative(sim::EndpointId searcher,
   s->query = query;
   s->searcher = searcher;
   s->root_cube = hasher_.responsible_node(query);
+  s->order = cube::SpanningBinomialTree(cube_, s->root_cube).bfs_order();
   sessions_[id] = std::move(s);
   return id;
 }
@@ -1124,25 +1063,19 @@ void OverlayIndex::cumulative_step(std::uint64_t session) {
     cumulative_finish_batch(session);
     return;
   }
-  if (!s->root_scanned) {
-    // The root's own table is the virtual first node; scanning it costs no
-    // network message. Its "dimension" spans everything (children = all
-    // zero dimensions), encoded as the cube dimension.
-    cumulative_visit(session, s->root_cube, cube_.dimension(), s->offset);
-    return;
-  }
-  if (s->queue.empty()) {
+  if (s->pos == s->order.size()) {
     s->exhausted = true;
     cumulative_finish_batch(session);
     return;
   }
-  const auto [w, d] = s->queue.front();
-  ++s->stats.rounds;
-  cumulative_visit(session, w, d, s->offset);
+  // The root's own table is the first node; scanning it costs no round.
+  const cube::CubeId w = s->order[s->pos];
+  if (w != s->root_cube) ++s->stats.rounds;
+  cumulative_visit(session, w, s->offset);
 }
 
 void OverlayIndex::cumulative_visit(std::uint64_t session, cube::CubeId w,
-                                    int dim, std::size_t offset) {
+                                    std::size_t offset) {
   CumulativeState* s = find_session(session);
   if (!s) return;
   const std::size_t room = s->want - s->got;
@@ -1151,7 +1084,7 @@ void OverlayIndex::cumulative_visit(std::uint64_t session, cube::CubeId w,
   };
 
   // The scan + reply work that happens at the peer holding cube node w.
-  auto scan_at = [this, session, w, dim, offset, room,
+  auto scan_at = [this, session, w, offset, room,
                   charge](sim::EndpointId peer) {
     CumulativeState* st = find_session(session);
     if (!st) return;
@@ -1181,8 +1114,7 @@ void OverlayIndex::cumulative_visit(std::uint64_t session, cube::CubeId w,
                 });
     }
     // Report (taken, total) back to the root coordinator.
-    auto continue_at_root = [this, session, w, dim, peer, offset, taken,
-                             total] {
+    auto continue_at_root = [this, session, w, peer, offset, taken, total] {
       CumulativeState* s2 = find_session(session);
       if (!s2) return;
       if (w != s2->root_cube) peer_state(s2->root_peer).contacts[w] = peer;
@@ -1191,17 +1123,7 @@ void OverlayIndex::cumulative_visit(std::uint64_t session, cube::CubeId w,
         s2->offset = offset + taken;  // node not fully consumed: stay on it
       } else {
         s2->offset = 0;
-        if (w == s2->root_cube && !s2->root_scanned) {
-          s2->root_scanned = true;
-          for (int i : cube_.zero_positions(s2->root_cube))
-            s2->queue.emplace_back(s2->root_cube | (1ULL << i), i);
-        } else {
-          s2->queue.pop_front();
-          for (int i : cube_.zero_positions(w)) {
-            if (i >= dim) break;
-            s2->queue.emplace_back(w | (1ULL << i), i);
-          }
-        }
+        ++s2->pos;
       }
       cumulative_step(session);
     };
@@ -1429,17 +1351,19 @@ sim::EndpointId OverlayIndex::pick_replica(cube::CubeId w) {
   return 0;
 }
 
-void OverlayIndex::visit_replica(std::uint64_t req_id, cube::CubeId w,
+void OverlayIndex::visit_replica(std::uint64_t req_id, std::size_t slot,
                                  sim::EndpointId peer) {
   Request* req = find(req_id);
   if (!req) return;
   ++req->stats.messages;
   ++replica_spread_visits_;
   net_.metrics().count("kws.replica_spread");
-  emit(req_id, "spread", w, peer);
+  emit(req_id, "spread", req->plan[slot], peer);
   net_.send(req->root_peer, peer, "kws.t_query", kCtrlBytes,
-            [this, req_id, w, peer] { on_query_arrived(req_id, w, peer); });
-  arm_step_timer(req_id, w);
+            [this, req_id, slot, peer] {
+              on_query_arrived(req_id, slot, peer);
+            });
+  arm_step_guard(req_id, slot);
 }
 
 bool OverlayIndex::can_serve(sim::EndpointId peer, cube::CubeId w) const {

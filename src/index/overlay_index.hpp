@@ -6,6 +6,14 @@
 // message counts come out of the network metrics, not a model.
 //
 // Protocol notes / adaptations (documented in DESIGN.md):
+//  * The paper's queue U is precomputed. Its order never depends on scan
+//    results (only the T_STOP decision does), so every superset search runs
+//    one flat plan: the SBT's BFS order (exactly U's discipline) for
+//    top-down and level-parallel, root then deepest-first for bottom-up, or
+//    root then the cached contributors. The plan is cut into rounds, one
+//    node each for the sequential strategies and one SBT depth each for
+//    level-parallel; the stop rule decides how much of it runs, and the
+//    result is complete iff no plan node is left when it stops.
 //  * The first time a coordinator needs to reach a hypercube node it routes
 //    through the DHT (multi-hop); the resolved peer contact is cached, so
 //    repeat traffic is direct — exactly the neighbor-contact caching the
@@ -25,17 +33,19 @@
 //    batch falls back to individual retransmission, which replays each
 //    node's memoized scan, so loss tolerance and surrogate failover are
 //    unchanged. See docs/PERF.md.
-//  * Hit assembly is deterministic: each node's result batch is buffered
-//    by origin and concatenated in dispatch (visit) order at completion,
-//    so the hit sequence is independent of message arrival order — and
-//    byte-identical with coalescing on or off.
+//  * Hit assembly is deterministic: the request keeps one record per
+//    dispatched node in plan order, each node's result batch is buffered
+//    in its record and the batches are concatenated in that order at
+//    completion, so the hit sequence is independent of message arrival
+//    order — and byte-identical with coalescing on or off.
 //  * Superset search optionally runs with loss-tolerant delivery: when
 //    Config::step_timeout is set, every protocol step (root contact,
 //    per-node T_QUERY, the T_CONT/T_STOP reply, result delivery, and the
 //    final done notification) is guarded by a cancelable timer and
-//    retransmitted up to Config::max_retries times. Retransmitted steps are
-//    idempotent — each node memoizes its first scan per request and
-//    replays the same batch, and the searcher deduplicates batches by
+//    retransmitted up to Config::max_retries times; all of them, and the
+//    guarded pin, share one Guard type and one arm helper. Retransmitted
+//    steps are idempotent — each node memoizes its first scan per request
+//    and replays the same batch, and the searcher deduplicates batches by
 //    origin node — so a search over a lossy network returns exactly the
 //    result set of the lossless run, or reports stats.failed when a step
 //    exhausts its budget. Requests can also be cancelled mid-flight
@@ -44,11 +54,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/keyword.hpp"
@@ -418,20 +426,45 @@ class OverlayIndex {
     }
   };
 
-  enum class Mode { kTopDown, kPlan, kLevels };
+  /// Retransmission guard of one protocol step (root contact, per-node
+  /// T_QUERY, done notification, result re-shipping, guarded pin): the
+  /// pending timer and the number of timers the step has armed. Attempt k
+  /// waits resend_delay(k); the step gives up when attempt max_retries + 1
+  /// expires.
+  struct Guard {
+    net::Transport::TimerId timer = 0;
+    int attempts = 0;
+  };
 
-  /// Target-side memo of one node's first scan for a request. Keeping the
-  /// batch makes retransmitted T_QUERYs idempotent: a node always replays
-  /// its original answer, never a rescan (whose room() could have changed).
-  /// The batch is a pooled shared buffer: wire closures and the searcher's
-  /// per-node buffer hold references instead of copies, and the memo drops
-  /// its own reference after shipping when retransmission is off.
-  struct Visit {
-    sim::EndpointId peer = 0;
-    std::size_t c1 = 0;       ///< matches found at first scan
-    bool stop = false;        ///< control verdict computed at first scan
-    bool truncated = false;   ///< the want limit cut matching objects off
-    HitBatchPool::Batch batch;  ///< null when the scan found nothing
+  /// Everything a request keeps about one dispatched cube node, grouped by
+  /// the role that owns it. All three roles live in this one object today;
+  /// a message-native split would hand each its own part.
+  struct NodeRecord {
+    /// Coordinator: whether the node's T_CONT/T_STOP arrived, and the guard
+    /// of its T_QUERY.
+    struct Coordinator {
+      bool answered = false;
+      Guard step;
+    } coord;
+    /// Target: memo of the node's first scan. Keeping the batch makes
+    /// retransmitted T_QUERYs idempotent: the node always replays its
+    /// original answer, never a rescan (whose room() could have changed).
+    /// The batch is a pooled shared buffer: wire closures and the
+    /// searcher's part hold references instead of copies, and the memo
+    /// drops its own reference after shipping when retransmission is off.
+    struct Target {
+      bool scanned = false;
+      sim::EndpointId peer = 0;
+      std::size_t c1 = 0;         ///< matches found at first scan
+      bool stop = false;          ///< control verdict of the first scan
+      HitBatchPool::Batch batch;  ///< null when the scan found nothing
+    } target;
+    /// Searcher: the node's batch arrived (or was written off with its dead
+    /// origin). Batches are concatenated in dispatch order at completion.
+    struct Searcher {
+      bool delivered = false;
+      HitBatchPool::Batch hits;
+    } searcher;
   };
 
   struct Request {
@@ -448,50 +481,34 @@ class OverlayIndex {
     /// under this epoch is invalidated by any later mutation, so a search
     /// that raced a mutation can never serve its stale plan to a successor.
     std::uint64_t epoch = 0;
-    Mode mode = Mode::kTopDown;
     SearchStrategy strategy = SearchStrategy::kTopDownSequential;
-    // Loss-tolerance state (all empty/0 when step_timeout == 0).
-    std::unordered_map<cube::CubeId, Visit> visits;     // scanned nodes
-    std::unordered_set<cube::CubeId> answered;          // coordinator dedup
-    std::unordered_set<cube::CubeId> delivered;         // searcher dedup
-    std::unordered_map<cube::CubeId, net::Transport::TimerId> step_timers;
-    std::unordered_map<cube::CubeId, int> step_attempts;
-    net::Transport::TimerId root_timer = 0;
-    int root_attempts = 0;
-    net::Transport::TimerId done_timer = 0;
-    int done_attempts = 0;
-    net::Transport::TimerId repair_timer = 0;
-    int repair_attempts = 0;
-    // kTopDown state: the paper's queue U of (node, dimension) pairs.
-    std::deque<std::pair<cube::CubeId, int>> queue;
-    // kPlan state: fixed visit order (cached contributors / bottom-up).
+    /// The visit plan, root first (see the protocol notes above), and
+    /// whether its rounds are whole SBT depths rather than single nodes.
     std::vector<cube::CubeId> plan;
-    std::size_t plan_pos = 0;
-    bool plan_complete_means_complete = true;
-    // kLevels state.
-    std::vector<std::vector<cube::CubeId>> levels;
-    std::size_t level = 0;
-    std::size_t outstanding = 0;
-    bool level_stop = false;
-    // Common bookkeeping.
+    bool by_depth = false;
+    /// The plan spans the whole subhypercube (false for a cached plan taken
+    /// from a partial traversal).
+    bool plan_exhaustive = true;
+    /// One record per dispatched node: nodes[i] belongs to plan[i].
+    std::vector<NodeRecord> nodes;
+    std::size_t outstanding = 0;  ///< unanswered nodes of the current round
+    // Guards of the request-wide steps (idle when step_timeout == 0).
+    Guard root_guard;
+    Guard done_guard;
+    Guard repair_guard;
     std::size_t collected = 0;
-    /// Cube nodes in dispatch order (root first). Hit batches buffered in
-    /// node_hits are concatenated in this order at completion, making the
-    /// hit sequence independent of message arrival order (and identical
-    /// to the LogicalIndex traversal order on lossless runs).
-    std::vector<cube::CubeId> visit_order;
-    std::unordered_map<cube::CubeId, HitBatchPool::Batch> node_hits;
+    /// Contributing nodes in answer order: the query-cache summary.
     std::vector<std::pair<cube::CubeId, std::uint32_t>> contributors;
     SearchStats stats;
     std::size_t results_expected = 0;
     std::size_t results_received = 0;
     bool done_received = false;
-    bool stopped_early = false;
     bool record_in_cache = true;
     SearchCallback done;
   };
 
-  /// Root-side state of a cumulative session: the paper's queue U plus the
+  /// Root-side state of a cumulative session: the paper's queue U,
+  /// precomputed as the SBT's BFS order, with the cursor into it and the
   /// within-node consumption offset.
   struct CumulativeState {
     KeywordSet query;
@@ -499,11 +516,9 @@ class OverlayIndex {
     cube::CubeId root_cube = 0;
     sim::EndpointId root_peer = 0;
     bool resolved = false;     ///< root peer located (first next() routes)
-    bool root_scanned = false; ///< the root's own table consumed
-    std::deque<std::pair<cube::CubeId, int>> queue;  // the paper's U
-    bool mid_node = false;     ///< current node only partially returned
-    cube::CubeId current = 0;
-    std::size_t offset = 0;    ///< results already returned from `current`
+    std::vector<cube::CubeId> order;  ///< root first
+    std::size_t pos = 0;       ///< the node of `order` being consumed
+    std::size_t offset = 0;    ///< results already returned from order[pos]
     bool exhausted = false;
     // Per-next() call bookkeeping.
     std::size_t want = 0;
@@ -523,8 +538,8 @@ class OverlayIndex {
   struct PinState {
     KeywordSet keywords;
     sim::EndpointId searcher = 0;
-    int attempts = 0;
-    net::Transport::TimerId timer = 0;
+    /// Armed only when the pin is guarded; `attempts` then counts sends.
+    Guard guard;
     SearchStats stats;  ///< accumulates messages/retransmits across attempts
     SearchCallback done;
   };
@@ -537,7 +552,7 @@ class OverlayIndex {
   void cumulative_step(std::uint64_t session);
   /// Visits cube node `w` for the session: scans from the stored offset,
   /// ships up to the remaining want to the searcher, reports back.
-  void cumulative_visit(std::uint64_t session, cube::CubeId w, int dim,
+  void cumulative_visit(std::uint64_t session, cube::CubeId w,
                         std::size_t offset);
   void cumulative_finish_batch(std::uint64_t session);
   void cumulative_maybe_complete(std::uint64_t session);
@@ -559,10 +574,10 @@ class OverlayIndex {
   /// cursor landed on the owner's slot). Skips unregistered holders.
   sim::EndpointId pick_replica(cube::CubeId w);
 
-  /// Sends the T_QUERY for `w` directly to replica holder `peer` (the
-  /// spread path of visit_node); the usual step timer covers loss, and a
-  /// retransmission goes back through visit_node/pick_replica.
-  void visit_replica(std::uint64_t req_id, cube::CubeId w,
+  /// Sends the T_QUERY for plan node `slot` directly to replica holder
+  /// `peer` (the spread path of visit_node); the usual step guard covers
+  /// loss, and a retransmission goes back through visit_node/pick_replica.
+  void visit_replica(std::uint64_t req_id, std::size_t slot,
                      sim::EndpointId peer);
 
   /// The table to scan for cube node `w` at `ps`: the primary table if
@@ -598,58 +613,82 @@ class OverlayIndex {
                          std::function<void(sim::EndpointId)> at_target,
                          const std::function<void()>& on_failover = nullptr);
 
-  void start_top_down(Request& req);
-  void step_top_down(std::uint64_t req_id);
-  void step_plan(std::uint64_t req_id);
-  void start_level(std::uint64_t req_id);
+  /// Runs at the root once it is located: scans the root's own table,
+  /// builds the plan (cached contributors or the strategy's SBT order) and
+  /// starts the first round.
+  void start_at_root(Request& req);
+  /// Dispatches the next round of plan nodes, or finishes when none remain.
+  void start_round(std::uint64_t req_id);
+  /// Level-parallel round [begin, end) with co-host coalescing: nodes
+  /// sharing a live cached contact (or a picked replica holder) travel as
+  /// one VisitBatch; the rest go through visit_node.
+  void visit_coalesced(std::uint64_t req_id, std::size_t begin,
+                       std::size_t end);
   /// Routes the initial query to the root's peer; retried on timeout.
   void begin_root_route(std::uint64_t req_id);
   /// Degraded-mode serving: re-resolves the root through the DHT and, if
   /// ownership moved (the root peer died), re-aims the coordinator at the
   /// surrogate owner and marks the request degraded.
   void failover_root(std::uint64_t req_id);
-  /// Sends (or resends) the T_QUERY for node `w` and arms its step timer.
-  void visit_node(std::uint64_t req_id, cube::CubeId w);
-  /// Runs at the peer playing `w` when a T_QUERY arrives: scans once
+  /// Sends (or resends) the T_QUERY for plan node `slot` and arms its step
+  /// guard.
+  void visit_node(std::uint64_t req_id, std::size_t slot);
+  /// Runs at the peer playing the node when a T_QUERY arrives: scans once
   /// (memoized), ships the result batch to the searcher, answers the
   /// coordinator with T_CONT/T_STOP. Idempotent under retransmission.
-  void on_query_arrived(std::uint64_t req_id, cube::CubeId w,
+  void on_query_arrived(std::uint64_t req_id, std::size_t slot,
                         sim::EndpointId peer);
-  /// First-scan memoization: scans `w` at `peer` for the request if this is
-  /// the first arrival and — unless `ship` is false — ships the batch to
-  /// the searcher (replaying the memoized batch on retransmitted arrivals).
-  /// With ship=false the caller owns delivery (the VisitBatch path merges
-  /// several nodes' batches into one message) and, when retransmission is
-  /// off, releasing the memoized batches afterwards.
-  Visit& ensure_scan(Request& req, cube::CubeId w, sim::EndpointId peer,
-                     bool ship = true);
-  /// Sends one merged VisitBatch message covering this round's cube nodes
-  /// co-hosted at `peer`, arming the usual per-node step timers.
+  /// Whether an arrival at `peer` must be dropped because the node's cell
+  /// was demoted (or ownership moved) while a spread visit was in flight.
+  /// Only with step timers to recover; un-learns the contact if it pointed
+  /// at `peer`, so the retransmit re-resolves instead of repeating the drop.
+  bool drop_stale_arrival(Request& req, std::size_t slot,
+                          sim::EndpointId peer);
+  /// First-scan memoization: scans the node at `peer` for the request if
+  /// this is the first arrival and — unless `ship` is false — ships the
+  /// batch to the searcher (replaying the memoized batch on retransmitted
+  /// arrivals). With ship=false the caller owns delivery (the VisitBatch
+  /// path merges several nodes' batches into one message) and, when
+  /// retransmission is off, releasing the memoized batches afterwards.
+  NodeRecord::Target& ensure_scan(Request& req, std::size_t slot,
+                                  sim::EndpointId peer, bool ship = true);
+  /// Sends one merged VisitBatch message covering this round's plan nodes
+  /// co-hosted at `peer`, arming the usual per-node step guards.
   void send_visit_batch(std::uint64_t req_id, sim::EndpointId peer,
-                        const std::vector<cube::CubeId>& nodes);
+                        const std::vector<std::size_t>& slots);
   /// Runs at the co-host peer: scans every node of the batch (memoized),
   /// ships one merged result message to the searcher and one merged
   /// control reply to the coordinator. Idempotent under retransmission.
   void on_visit_batch_arrived(std::uint64_t req_id,
-                              const std::vector<cube::CubeId>& nodes,
+                              const std::vector<std::size_t>& slots,
                               sim::EndpointId peer);
-  /// Concatenates the buffered per-node batches in visit order.
+  /// Concatenates the delivered per-node batches in dispatch order.
   std::vector<Hit> assemble_hits(const Request& req) const;
-  void on_results(std::uint64_t req_id, cube::CubeId w,
+  void on_results(std::uint64_t req_id, std::size_t slot,
                   const HitBatchPool::Batch& batch);
-  void on_node_answered(std::uint64_t req_id, cube::CubeId w,
+  void on_node_answered(std::uint64_t req_id, std::size_t slot,
                         sim::EndpointId peer, std::size_t c1);
-  void arm_step_timer(std::uint64_t req_id, cube::CubeId w);
+  /// Arms a guard's next attempt, waiting resend_delay(++g.attempts). On
+  /// expiry `find()` re-locates the guard (nullptr: its owner is gone or
+  /// the step settled meanwhile), then `expire(spent)` runs, where spent
+  /// means the step used up its max_retries retransmissions.
+  template <typename Find, typename Expire>
+  void arm(Guard& g, Find find, Expire expire);
+  /// Counts one retransmission of a request step (trace "retransmit").
+  void note_retransmit(Request& req, std::uint64_t a, std::uint64_t b = 0);
+  void arm_step_guard(std::uint64_t req_id, std::size_t slot);
   /// Sends (or resends) the final done notification to the searcher.
   void send_done(std::uint64_t req_id);
   /// Re-ships result batches the searcher is still missing after done.
-  void arm_repair_timer(std::uint64_t req_id);
+  void arm_repair_guard(std::uint64_t req_id);
   /// Gives up on the request: cancels timers, delivers partial hits with
   /// stats.failed set, erases the request.
   void abort_request(std::uint64_t req_id);
   /// Cancels every pending timer owned by the request.
   void release_timers(Request& req);
-  void finish(std::uint64_t req_id);
+  /// Records the traversal summary and sends done. The result is complete
+  /// iff the plan spans the subhypercube and did not stop early.
+  void finish(std::uint64_t req_id, bool stopped_early);
   void maybe_complete(std::uint64_t req_id);
   Request* find(std::uint64_t req_id);
   void emit(std::uint64_t request, const char* point, std::uint64_t a = 0,

@@ -462,6 +462,13 @@ void PeerSlice::try_complete_step(std::uint64_t id, Coordination& c) {
     c.stats.messages += 1;  // results (w -> coordinator)
     c.hits.insert(c.hits.end(), c.results.begin(), c.results.end());
   }
+  // Expand the node's children before the stop check: stopping here leaves
+  // the search complete only if nothing, these children included, is
+  // pending.
+  for (int i : cube_.zero_positions(c.visit_node)) {
+    if (i >= c.visit_dim) break;  // zero_positions is ascending
+    c.queue.emplace_back(c.visit_node | (1ULL << i), i);
+  }
   if (c.control_stop) {
     c.stats.messages += 1;  // T_STOP(w -> v)
     c.stopped_early = !c.queue.empty();
@@ -469,10 +476,6 @@ void PeerSlice::try_complete_step(std::uint64_t id, Coordination& c) {
     return;
   }
   c.stats.messages += 1;  // T_CONT(w -> v)
-  for (int i : cube_.zero_positions(c.visit_node)) {
-    if (i >= c.visit_dim) break;  // zero_positions is ascending
-    c.queue.emplace_back(c.visit_node | (1ULL << i), i);
-  }
   advance(id);
 }
 

@@ -328,6 +328,37 @@ TEST(LogicalIndexCache, PartialTraversalUsableForSmallerThreshold) {
   EXPECT_EQ(full.hits.size(), 40u);
 }
 
+// First keyword "k<i>" that h maps to dimension `dim`.
+Keyword word_on(const KeywordHasher& h, int dim) {
+  for (int i = 0;; ++i) {
+    Keyword w = "k" + std::to_string(i);
+    if (h.dim_of(w) == dim) return w;
+  }
+}
+
+// Top-down from root 0001 at r = 4: the queue U runs dry exactly when 1101
+// is popped, and 1101's child 1111 is appended only after its answer. A
+// limit-1 search that stops at 1101 has left 1111 unvisited, so it must not
+// report (or cache) a complete traversal; otherwise the next exhaustive
+// search is served from the cache without 1111's object.
+TEST(LogicalIndexCache, StopAtTheLastQueuedNodeIsNotComplete) {
+  LogicalIndex idx({.r = 4, .cache_capacity = 32});
+  const KeywordHasher& h = idx.hasher();
+  const Keyword a = word_on(h, 0), b = word_on(h, 1), c = word_on(h, 2),
+                d = word_on(h, 3);
+  idx.insert(1, KeywordSet({a, c, d}));     // 1101
+  idx.insert(2, KeywordSet({a, b, c, d}));  // 1111
+  const KeywordSet query({a});
+  ASSERT_EQ(h.responsible_node(query), 0b0001u);
+
+  const auto limited = idx.superset_search(query, 1);
+  EXPECT_EQ(ids_of(limited.hits), (std::set<ObjectId>{1}));
+  EXPECT_FALSE(limited.stats.complete);
+  const auto all = idx.superset_search(query);
+  EXPECT_EQ(ids_of(all.hits), (std::set<ObjectId>{1, 2}));
+  EXPECT_TRUE(all.stats.complete);
+}
+
 TEST(LogicalIndexCache, StatsAccumulate) {
   LogicalIndex idx({.r = 6, .cache_capacity = 16});
   idx.insert(1, KeywordSet({"s"}));

@@ -11,6 +11,7 @@
 
 #include "common/rng.hpp"
 #include "index/logical_index.hpp"
+#include "index/service.hpp"
 
 namespace hkws::index {
 namespace {
@@ -438,6 +439,51 @@ TEST(OverlayIndexCumulative, SessionLifecycleErrors) {
   EXPECT_TRUE(t.index->cumulative_exhausted(session));
   EXPECT_THROW(t.index->cumulative_next(session, 5, [](const auto&) {}),
                std::invalid_argument);
+}
+
+// First keyword "k<i>" that h maps to dimension `dim`.
+Keyword word_on(const KeywordHasher& h, int dim) {
+  for (int i = 0;; ++i) {
+    Keyword w = "k" + std::to_string(i);
+    if (h.dim_of(w) == dim) return w;
+  }
+}
+
+// The service's defaults (top-down, 32-record query cache) at r = 4. From
+// root 0001 the SBT order ends ..., 1101, 1111, and 1111 is a child of
+// 1101: a limit-1 search that stops at 1101 has left it unvisited. It must
+// not report or cache a complete traversal, or the following exhaustive
+// search is answered from the cache without 1111's object.
+TEST(OverlayIndex, ServiceDefaultsStopAtTheLastQueuedNodeIsNotComplete) {
+  sim::EventQueue clock;
+  sim::Network net(clock);
+  dht::ChordNetwork dht = dht::ChordNetwork::build(net, 16, {});
+  KeywordSearchService::Options opts;
+  opts.r = 4;
+  KeywordSearchService service(dht, opts);
+  const KeywordHasher& h = service.primary_index().hasher();
+  const Keyword a = word_on(h, 0), b = word_on(h, 1), c = word_on(h, 2),
+                d = word_on(h, 3);
+  service.publish(1, 1, KeywordSet({a, c, d}));     // 1101
+  service.publish(2, 2, KeywordSet({a, b, c, d}));  // 1111
+  clock.run();
+  const KeywordSet query({a});
+  ASSERT_EQ(h.responsible_node(query), 0b0001u);
+
+  auto search = [&](std::size_t limit) {
+    std::optional<KeywordSearchService::Answer> answer;
+    service.search(3, query, {.limit = limit},
+                   [&](const KeywordSearchService::Answer& x) { answer = x; });
+    clock.run();
+    EXPECT_TRUE(answer.has_value());
+    return answer.value_or(KeywordSearchService::Answer{});
+  };
+  const auto limited = search(1);
+  EXPECT_EQ(ids_of(limited.hits), (std::set<ObjectId>{1}));
+  EXPECT_FALSE(limited.stats.complete);
+  const auto all = search(0);
+  EXPECT_EQ(ids_of(all.hits), (std::set<ObjectId>{1, 2}));
+  EXPECT_TRUE(all.stats.complete);
 }
 
 TEST(OverlayIndex, MessagesAreAccountedByKind) {

@@ -214,6 +214,45 @@ TEST(PeerSlice, SingleProcessSliceMatchesLogicalIndex) {
   EXPECT_EQ(t.decode_errors(), 0u);
 }
 
+// First keyword "k<i>" that h maps to dimension `dim`.
+Keyword word_on(const KeywordHasher& h, int dim) {
+  for (int i = 0;; ++i) {
+    Keyword w = "k" + std::to_string(i);
+    if (h.dim_of(w) == dim) return w;
+  }
+}
+
+// From root 0001 at r = 4 the coordinator's queue runs dry when 1101 is
+// popped; 1101's child 1111 is appended only after 1101 answers. A limit-1
+// search that stops at 1101 has left 1111 unvisited and must say so.
+TEST(PeerSlice, StopAtTheLastQueuedNodeIsNotComplete) {
+  TcpTransport t(fast_tcp());
+  PeerSlice::Config cfg;
+  cfg.r = 4;
+  cfg.n_peers = 4;
+  cfg.procs = 1;
+  cfg.rank = 0;
+  PeerSlice slice(t, cfg);
+  const KeywordHasher& h = slice.hasher();
+  const Keyword a = word_on(h, 0), b = word_on(h, 1), c = word_on(h, 2),
+                d = word_on(h, 3);
+  AckLatch acks;
+  slice.publish(1, KeywordSet({a, c, d}), [&acks] { acks.hit(); });     // 1101
+  slice.publish(2, KeywordSet({a, b, c, d}), [&acks] { acks.hit(); });  // 1111
+  ASSERT_TRUE(acks.wait(2, kWait));
+  const KeywordSet query({a});
+  ASSERT_EQ(h.responsible_node(query), 0b0001u);
+
+  const SearchResult limited = run_search(slice, query, 1);
+  ASSERT_EQ(limited.hits.size(), 1u);
+  EXPECT_EQ(limited.hits[0].object, 1u);
+  EXPECT_FALSE(limited.stats.complete);
+  const SearchResult all = run_search(slice, query, 0);
+  EXPECT_EQ(all.hits.size(), 2u);
+  EXPECT_TRUE(all.stats.complete);
+  EXPECT_TRUE(t.drain_and_stop(kWait));
+}
+
 // The tentpole property: peers of one overlay split across two transport
 // instances (two listen sockets, two strands — process boundaries as far as
 // the protocol can tell), every cross-slice step a serialized frame over

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <set>
 
@@ -115,6 +116,53 @@ TEST(Sbt, SingletonTreeWhenRootIsFull) {
   EXPECT_EQ(sbt.size(), 1u);
   EXPECT_EQ(sbt.bfs_order(), (std::vector<CubeId>{0b111}));
   EXPECT_TRUE(sbt.children(0b111).empty());
+}
+
+// The search coordinators precompute their visit order from bfs_order() and
+// cut it into rounds with levels(), so both must reproduce the paper's live
+// queue U exactly: seeded with the root's zero dimensions in ascending
+// order, each popped (w, d) appending w | 2^i for every zero position
+// i < d of w. Pinned for every root of every cube up to r = 8.
+TEST(Sbt, BfsOrderIsTheQueueDiscipline) {
+  for (int r = 1; r <= 8; ++r) {
+    const Hypercube h(r);
+    for (CubeId root = 0; root < h.node_count(); ++root) {
+      std::vector<CubeId> expected{root};
+      std::deque<std::pair<CubeId, int>> queue;
+      for (int i : h.zero_positions(root))
+        queue.emplace_back(root | (CubeId{1} << i), i);
+      while (!queue.empty()) {
+        const auto [w, d] = queue.front();
+        queue.pop_front();
+        expected.push_back(w);
+        for (int i : h.zero_positions(w)) {
+          if (i >= d) break;
+          queue.emplace_back(w | (CubeId{1} << i), i);
+        }
+      }
+      const SpanningBinomialTree sbt(h, root);
+      ASSERT_EQ(sbt.bfs_order(), expected) << "r=" << r << " root=" << root;
+    }
+  }
+}
+
+TEST(Sbt, LevelsCutTheBfsOrderWhereTheDepthChanges) {
+  for (int r = 1; r <= 8; ++r) {
+    const Hypercube h(r);
+    for (CubeId root = 0; root < h.node_count(); ++root) {
+      const SpanningBinomialTree sbt(h, root);
+      std::vector<std::vector<CubeId>> cut;
+      int depth = -1;
+      for (CubeId w : sbt.bfs_order()) {
+        if (sbt.depth(w) != depth) {
+          cut.emplace_back();
+          depth = sbt.depth(w);
+        }
+        cut.back().push_back(w);
+      }
+      ASSERT_EQ(sbt.levels(), cut) << "r=" << r << " root=" << root;
+    }
+  }
 }
 
 class SbtProperty : public ::testing::TestWithParam<std::pair<int, CubeId>> {};
